@@ -15,7 +15,11 @@ from . import linalg
 from .channels import Ensemble
 from .errors import RankDeficiencyError
 from .linalg import frob, herm
-from .states import DensityMatrix
+from .states import DensityMatrix, check_states
+
+# Matrix entries per stacked block of rld_divergence_integral's grid
+# (2**18 complex entries = 4 MiB per array); bounds its memory at large d.
+INTEGRAL_BLOCK_ENTRIES = 1 << 18
 
 
 def kl(p, q) -> float:
@@ -30,7 +34,7 @@ def kl(p, q) -> float:
 
 def _support_violation(rho: DensityMatrix, sigma: DensityMatrix, rank_tol: float) -> bool:
     w, u = sigma.eig
-    sup = np.abs(w) >= rank_tol * np.max(np.abs(w))
+    sup = linalg.support_mask(w, rank_tol)
     p = u[:, sup] @ u[:, sup].conj().T
     leak = frob(rho.mat - p @ rho.mat @ p)
     return leak > 1e-9
@@ -67,22 +71,27 @@ def rld_divergence_integral(
     rho - sigma; the scalar RLD Fisher information is
     J^R_s = Tr X rho_s^(-1) X.  Composite trapezoid on
     [eps, 1 - eps] with eps = 1/(2 steps) plus constant one-sided
-    extrapolation for the clipped end strips.
+    extrapolation for the clipped end strips.  The steps + 1 grid states
+    are decomposed as stacks of at most INTEGRAL_BLOCK_ENTRIES matrix
+    entries; each state must pass the DensityMatrix checks (check_states)
+    and is inverted on its own RANK_TOL support.
     """
     if _support_violation(rho, sigma, linalg.RANK_TOL):
         return math.inf
     x = rho.mat - sigma.mat
     if frob(x) < 1e-14:
         return 0.0
-
-    def integrand(s: float) -> float:
-        mix = DensityMatrix(s * rho.mat + (1.0 - s) * sigma.mat)
-        inv = mix.func("inverse")
-        return (1.0 - s) * float(np.trace(x @ inv @ x).real)
-
     eps = 1.0 / (2.0 * steps)
     grid = np.linspace(eps, 1.0 - eps, steps + 1)
-    vals = np.array([integrand(s) for s in grid])
+    xx = x @ x
+    vals = np.empty_like(grid)
+    per = max(1, INTEGRAL_BLOCK_ENTRIES // x.size)
+    for a in range(0, grid.size, per):
+        s = grid[a:a + per, None, None]
+        mix = herm(s * rho.mat + (1.0 - s) * sigma.mat)
+        inv = linalg.spectral_function(*check_states(mix), "inverse")
+        # J^R_s = Tr X inv X = Tr inv (X X)
+        vals[a:a + per] = (1.0 - s[:, 0, 0]) * np.einsum("kjl,lj->k", inv, xx).real
     h = grid[1] - grid[0]
     core = h * (np.sum(vals) - 0.5 * (vals[0] + vals[-1]))
     return float(core + eps * (vals[0] + vals[-1]))

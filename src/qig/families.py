@@ -45,15 +45,6 @@ def classical_simplex_point(probs, scores, theta=None) -> FamilyPoint:
     return FamilyPoint(cls.theta, rho, tangents)
 
 
-def classical_of(point: FamilyPoint) -> ClassicalFamilyPoint:
-    """Diagonal read-out of a (diagonal) quantum family."""
-    return ClassicalFamilyPoint(
-        point.theta,
-        np.diag(point.rho.mat).real,
-        np.array([np.diag(x).real for x in point.tangents]),
-    )
-
-
 def fixed_basis_family(
     basis: np.ndarray, prob_table: np.ndarray, theta_grid: np.ndarray,
     score_table: np.ndarray | None = None,

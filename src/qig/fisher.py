@@ -94,7 +94,7 @@ def rld(rho: DensityMatrix, x: np.ndarray, rank_tol: float = linalg.RANK_TOL) ->
     """
     x = np.asarray(x, dtype=complex)
     w, u = rho.eig
-    sup = np.abs(w) >= rank_tol * np.max(np.abs(w))
+    sup = linalg.support_mask(w, rank_tol)
     p = u[:, sup] @ u[:, sup].conj().T
     out = frob(x - p @ x @ p)
     if out > RLD_SUPPORT_TOL:

@@ -43,26 +43,12 @@ def decode_matrix(obj) -> np.ndarray:
     return mat
 
 
-def decode_vector(obj) -> np.ndarray:
-    if not isinstance(obj, list):
-        raise SpecFileError("expected a list of numbers")
-    return np.asarray(obj, dtype=float)
-
-
 def qfisher_to_json(j) -> dict:
     return {
         "kind": j.kind,
         "real_part": encode_matrix(j.real_part),
         "imag_part": encode_matrix(j.imag_part),
     }
-
-
-def povm_to_json(povm) -> dict:
-    return {"povm": [encode_matrix(e) for e in povm.elements]}
-
-
-def kraus_to_json(ch) -> dict:
-    return {"kraus": [encode_matrix(k) for k in ch.kraus_ops]}
 
 
 def suite_report_to_json(rep) -> dict:
@@ -89,9 +75,6 @@ def _jsonable(obj):
     if isinstance(obj, complex):
         return encode_complex(obj)
     return obj
-
-
-MATRIX_FIELDS = ("rho", "tangents", "basis")
 
 
 def load_json(path) -> dict:

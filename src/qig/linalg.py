@@ -28,9 +28,14 @@ def frob(a) -> float:
 
 
 def herm(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (A + A^dag)/2."""
+    """Hermitian part (A + A^dag)/2 of a matrix or of each member of a (..., d, d) stack."""
     a = np.asarray(a)
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+
+
+def _rebuild(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """U diag(w) U^dag for spectra (..., d) and eigenvector matrices (..., d, d)."""
+    return (u * w[..., None, :]) @ u.conj().swapaxes(-1, -2)
 
 
 def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
@@ -39,70 +44,77 @@ def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
 
 
 def eig_hermitian(h: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+    """Eigendecomposition of a Hermitian matrix or (..., d, d) stack, eigenvalues ascending.
 
-    The result satisfies ||U L U^dag - H||_F and ||U^dag U - I||_F below
-    eig_tol = max(1e-13, 1e-12 * dim * ||H||_F).
+    Each member satisfies ||U L U^dag - H||_F and ||U^dag U - I||_F below
+    its own eig_tol = max(1e-13, 1e-12 * dim * ||H||_F).
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+    if h.ndim < 2 or h.shape[-1] != h.shape[-2]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {h.shape}")
     if not np.all(np.isfinite(h)):
         raise ValueError("matrix contains NaN/Inf entries")
     hs = herm(h)
     w, u = np.linalg.eigh(hs)
-    scale = frob(hs)
-    tol = max(1e-13, 1e-12 * h.shape[0] * scale)
-    recon = frob(u @ np.diag(w) @ u.conj().T - hs)
-    unit = frob(u.conj().T @ u - np.eye(h.shape[0]))
-    if recon > tol or unit > tol:
+    d = h.shape[-1]
+    # a single matrix keeps Python scalars: it is by far the most frequent call
+    single = h.ndim == 2
+    norm = frob if single else (lambda a: np.linalg.norm(a, axis=(-2, -1)))
+    scale = norm(hs)
+    tol = (max if single else np.maximum)(1e-13, 1e-12 * d * scale)
+    recon = norm(_rebuild(w, u) - hs)
+    unit = norm(u.conj().swapaxes(-1, -2) @ u - np.eye(d))
+    if (recon > tol or unit > tol) if single else ((recon > tol) | (unit > tol)).any():
+        k = int(np.argmax(np.maximum(recon, unit) / tol))
+        r, un, tl, sc = (np.ravel(v)[k] for v in (recon, unit, tol, scale))
+        member = f" (stack member {k})" if h.ndim > 2 else ""
         raise ConvergenceError(
-            f"eigendecomposition residual {recon:.3e} (unitarity {unit:.3e}) exceeds "
-            f"tolerance {tol:.3e} for dim {h.shape[0]}, ||H||_F = {scale:.3e}"
+            f"eigendecomposition residual {r:.3e} (unitarity {un:.3e}) exceeds "
+            f"tolerance {tl:.3e} for dim {d}, ||H||_F = {sc:.3e}{member}"
         )
     return SpectralDecomposition(w, u)
 
 
-def _support_mask(w: np.ndarray, rank_tol: float) -> np.ndarray:
-    lam_max = float(np.max(np.abs(w))) if w.size else 0.0
-    return np.abs(w) >= rank_tol * lam_max if lam_max > 0 else np.zeros_like(w, bool)
+def support_mask(w: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """Eigenvalues with |lambda| >= rank_tol * max |lambda| of their own spectrum (last axis)."""
+    mag = np.abs(w)
+    lam_max = mag.max(axis=-1, keepdims=True, initial=0.0)
+    return (mag >= rank_tol * lam_max) & (lam_max > 0)
 
 
-def matrix_function(h, f, rank_tol: float = RANK_TOL, strict: bool = False) -> np.ndarray:
-    """Apply a spectral function to a Hermitian matrix on its support.
+def spectral_function(w, u, f, rank_tol: float = RANK_TOL, strict: bool = False) -> np.ndarray:
+    """Apply a spectral function to the Hermitian matrix (or stack) with spectrum (w, u).
 
     f is one of "sqrt", "log", "inverse", or ("power", t).  For log,
     inverse and negative powers the function acts only on eigenvalues
     >= rank_tol * lambda_max; smaller ones map to 0 (pseudo-function).
-    With strict=True, a below-support eigenvalue raises instead for log
-    and inverse.
+    With strict=True, a below-support eigenvalue raises instead for log,
+    inverse and negative powers.
     """
-    w, u = eig_hermitian(h)
-    sup = _support_mask(w, rank_tol)
-    fw = np.zeros_like(w)
     if f == "sqrt":
-        fw[sup] = np.sqrt(np.clip(w[sup], 0.0, None))
-    elif f == "log":
-        if strict and not np.all(sup):
-            raise RankDeficiencyError("log requested on a rank-deficient matrix")
-        fw[sup] = np.log(w[sup])
-    elif f == "inverse":
-        if strict and not np.all(sup):
-            raise RankDeficiencyError("inverse requested on a rank-deficient matrix")
-        fw[sup] = 1.0 / w[sup]
+        fn = lambda v: np.sqrt(np.clip(v, 0.0, None))
+    elif f in ("log", "inverse"):
+        fn = np.log if f == "log" else np.reciprocal
     elif isinstance(f, tuple) and len(f) == 2 and f[0] == "power":
-        t = float(f[1])
-        if t < 0 and strict and not np.all(sup):
-            raise RankDeficiencyError("negative power requested on a rank-deficient matrix")
-        fw[sup] = np.power(w[sup], t)
+        fn = lambda v: np.power(v, float(f[1]))
     else:
         raise ValueError(f"unknown matrix function {f!r}")
-    return herm(u @ np.diag(fw) @ u.conj().T)
+    sup = support_mask(w, rank_tol)
+    if strict and (f in ("log", "inverse") or (f != "sqrt" and float(f[1]) < 0)) and not sup.all():
+        raise RankDeficiencyError(f"{f!r} requested on a rank-deficient matrix")
+    fw = np.zeros_like(w)
+    fw[sup] = fn(w[sup])
+    return herm(_rebuild(fw, u))
+
+
+def matrix_function(h, f, rank_tol: float = RANK_TOL, strict: bool = False) -> np.ndarray:
+    """spectral_function of a Hermitian matrix, on its support (see there)."""
+    return spectral_function(*eig_hermitian(h), f, rank_tol, strict)
 
 
 def support_projector(h, rank_tol: float = RANK_TOL) -> np.ndarray:
     w, u = eig_hermitian(h)
-    sup = _support_mask(w, rank_tol)
+    sup = support_mask(w, rank_tol)
     return herm(u[:, sup] @ u[:, sup].conj().T)
 
 

@@ -13,17 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize  # noqa: F401  (unused; the benchmark tracer counts its calls)
 
 from .channels import Ensemble, child_rng
 from .errors import (
+    ConvergenceError,
     DimensionMismatchError,
     InvalidCandidateError,
     NotReverseEstimableError,
     RankDeficiencyError,
 )
 from .fisher import QFisherMatrix, rld, rld_fisher
-from .linalg import frob, herm, spabs
+from .linalg import RANK_TOL, frob, herm, spabs
 from .states import AmplitudeMatrix, FamilyPoint
 
 
@@ -270,74 +271,122 @@ class MultiparamBounds:
     estimation: float
 
 
+def _checked_weight(g, m: int) -> np.ndarray:
+    g = np.asarray(g, dtype=float)
+    if g.shape != (m, m):
+        raise DimensionMismatchError(f"weight shape {g.shape} vs m = {m}")
+    g = 0.5 * (g + g.T)
+    if np.min(np.linalg.eigvalsh(g)) < -1e-10:
+        raise ValueError("weight matrix must be PSD")
+    return g
+
+
 def multiparam_bounds(jr: QFisherMatrix, g: np.ndarray) -> MultiparamBounds:
     """Weighted reverse-estimation and estimation bounds from J^R.
 
     reverse = Tr G ReJ^R + Spabs(G, ImJ^R);
     estimation = Tr G ReJ^R - Spabs(G, ImJ^R).
     """
-    g = np.asarray(g, dtype=float)
-    if g.shape != (jr.m, jr.m):
-        raise DimensionMismatchError(f"weight shape {g.shape} vs m = {jr.m}")
-    if np.min(np.linalg.eigvalsh(0.5 * (g + g.T))) < -1e-10:
-        raise ValueError("weight matrix must be PSD")
+    g = _checked_weight(g, jr.m)
     base = float(np.trace(g @ jr.real_part))
     skew = spabs(g, jr.imag_part)
     return MultiparamBounds(base + skew, base - skew)
 
 
+# min_trace_oracle stops once value - dual <= ORACLE_GAP_TOL * max(1, |value|).
+ORACLE_GAP_TOL = 1e-10
+_PATH_STEP = 20.0  # growth of the barrier weight t between centerings
+_PATH_CAP = 20  # centerings before ConvergenceError
+_CENTER_CAP = 50  # Newton steps per centering
+_CENTER_TOL = 1e-4  # squared Newton decrement of a centered point
+
+
 @dataclass(eq=False)
 class OracleResult:
-    value: float
-    converged: bool
-    minimizer: np.ndarray
+    value: float  # Tr G S at a strictly feasible S: an upper bound
+    dual: float  # dual objective at a feasible Z: a lower bound
+    gap: float  # value - dual
+    minimizer: np.ndarray  # the real symmetric S
 
 
-def min_trace_oracle(jr: QFisherMatrix, g: np.ndarray, seed: int = 0, restarts: int = 32) -> OracleResult:
-    """Independent check of the bound identity min{Tr GJ : J >= J^R}.
+def _center(x, t, cost, m0, basis):
+    """Damped Newton steps for min t Re Tr(C M) - log det M, M = m0 + sum_p x_p E_p.
 
-    Penalized descent (squared hinge on the most negative eigenvalue of
-    J - J^R) over real symmetric J, chained over an increasing penalty
-    ladder with multi-start; each end point is projected back to the
-    feasible cone by adding c*I, so the reported value is always an
-    upper bound on the true minimum.
+    With M = L L^dag, each Newton system is solved as least squares in
+    the scaled space M -> L^-1 M L^-dag, whose conditioning is cond(M)
+    rather than its square.  The damped step 1/(1 + decrement) keeps M
+    positive definite (self-concordance).  Stops when centered, or when
+    the decrement no longer falls because rounding dominates it.
+    """
+    if not len(basis):
+        return x
+    eye = np.eye(len(m0))
+    l, prev = np.linalg.cholesky(m0 + np.tensordot(x, basis, 1)), np.inf
+    for _ in range(_CENTER_CAP):
+        li = np.linalg.inv(l)
+        a = li @ basis @ li.conj().T
+        a = np.concatenate([a.real, a.imag], axis=1).reshape(len(a), -1).T
+        b = eye - t * (l.conj().T @ cost @ l)
+        step = np.linalg.lstsq(a, np.concatenate([b.real, b.imag]).ravel(), rcond=None)[0]
+        dec = float(np.sum((a @ step) ** 2))
+        if dec <= _CENTER_TOL or (prev < 1e-3 and dec > 0.25 * prev):
+            break
+        prev, x_new = dec, x + step / (1.0 + np.sqrt(dec))
+        try:
+            l = np.linalg.cholesky(m0 + np.tensordot(x_new, basis, 1))
+        except np.linalg.LinAlgError:
+            break
+        x = x_new
+    return x
+
+
+def min_trace_oracle(jr: QFisherMatrix, g: np.ndarray, seed: int = 0, restarts: int = 1) -> OracleResult:
+    """Certified value of min{Tr G S : S real symmetric, S - J^R >= 0}.
+
+    Log-barrier path following (Boyd & Vandenberghe, Convex Optimization,
+    ch. 11) on this problem and on its dual
+    max{Tr G ReJ^R - Tr(B ImJ^R) : G + iB >= 0, B real antisymmetric},
+    the weight t of both barriers growing by _PATH_STEP per centering.
+    Both iterates stay strictly feasible, so `value` bounds the minimum
+    from above and `dual` from below.  Returns once 0 <= gap <= tol =
+    ORACLE_GAP_TOL * max(1, |value|) and the rounding bound of `value`
+    is below tol too; raises ConvergenceError after _PATH_CAP centerings.
+    A singular G (lambda_min <= RANK_TOL lambda_max) leaves the dual no
+    interior point, so Z = G (dual Tr G ReJ^R) is kept; the primal path
+    then runs off along ker G, and unless ker G is spanned by coordinate
+    axes its rounding usually ends in ConvergenceError.  The method is
+    deterministic: `seed` and `restarts` are accepted and unused.
     """
     m = jr.m
-    if m > 3:
-        raise ValueError("oracle supports m <= 3")
-    g = np.asarray(g, dtype=float)
+    g = _checked_weight(g, m)
     jc = jr.as_complex()
-    idx = [(i, j) for i in range(m) for j in range(i, m)]
-
-    def unpack(vec):
-        s = np.zeros((m, m))
-        for v, (i, j) in zip(vec, idx):
-            s[i, j] = s[j, i] = v
-        return s
-
-    def feasible_value(s):
-        lam_min = float(np.min(np.linalg.eigvalsh(s - jc)))
-        c = max(0.0, -lam_min)
-        return float(np.trace(g @ s)) + c * float(np.trace(g)), s + c * np.eye(m)
-
-    scale = max(1.0, frob(jc))
-    best_val, best_s, finals = np.inf, None, []
-    rng = np.random.default_rng(seed)
-    for _ in range(restarts):
-        vec = np.array(
-            [jr.real_part[i, j] + (scale * abs(rng.normal()) if i == j else 0.0)
-             + 0.1 * scale * rng.normal() for (i, j) in idx]
-        )
-        for mu in (1e2, 1e4, 1e6, 1e8):
-            def obj(v, mu=mu):
-                s = unpack(v)
-                lam_min = float(np.min(np.linalg.eigvalsh(s - jc)))
-                return float(np.trace(g @ s)) + mu * max(0.0, -lam_min) ** 2
-            vec = minimize(obj, vec, method="BFGS", options={"maxiter": 200}).x
-        val, s_feas = feasible_value(unpack(vec))
-        finals.append(val)
-        if val < best_val:
-            best_val, best_s = val, s_feas
-    finals = np.sort(np.asarray(finals))
-    near = int(np.sum(finals <= best_val + 1e-4 * max(1.0, abs(best_val))))
-    return OracleResult(best_val, near >= max(2, restarts // 8), best_s)
+    iu = np.triu_indices(m)
+    k = np.arange(len(iu[0]))
+    sym = np.zeros((len(k), m, m))
+    sym[k, iu[0], iu[1]] = sym[k, iu[1], iu[0]] = 1.0
+    off = sym[iu[0] != iu[1]]
+    anti = np.triu(off) - np.tril(off)  # basis of B = Im Z
+    lam = np.linalg.eigvalsh(g)
+    if lam[0] <= RANK_TOL * lam[-1]:
+        anti = anti[:0]
+    x = (jr.real_part + max(1.0, frob(jc)) * np.eye(m))[iu]
+    y = np.zeros(len(anti))
+    base = float(np.trace(g @ jr.real_part))
+    t = 1.0 / max(1.0, frob(jc))
+    for _ in range(_PATH_CAP):
+        x = _center(x, t, g, -jc, sym)
+        y = _center(y, t, -1j * jr.imag_part, g, 1j * anti)
+        s, b = np.tensordot(x, sym, 1), np.tensordot(y, anti, 1)
+        value, dual = float(np.sum(g * s)), base + float(np.sum(b * jr.imag_part))
+        # rounding of Tr G S and of the Cholesky test of S - J^R (componentwise
+        # ~ eps sqrt(a_i a_j), a = diag(S - ReJ^R)); large when S runs off along ker G
+        a = np.sqrt(np.clip(np.diag(s) - np.diag(jr.real_part), 0.0, None))
+        err = m * m * np.finfo(float).eps * float(np.sum(np.abs(g) * (np.abs(s) + np.outer(a, a))))
+        tol = ORACLE_GAP_TOL * max(1.0, abs(value))
+        if err <= tol and 0.0 <= value - dual <= tol:
+            return OracleResult(value, dual, value - dual, s)
+        t *= _PATH_STEP
+    raise ConvergenceError(
+        f"min-trace oracle: gap {value - dual:.3e} (rounding bound {err:.3e}) after "
+        f"{_PATH_CAP} centerings (tolerance {ORACLE_GAP_TOL:.0e} * max(1, |value|))"
+    )

@@ -19,58 +19,50 @@ TRACE_TOL = 1e-12
 PSD_FLOOR = -1e-12
 
 
+def check_states(mats: np.ndarray) -> linalg.SpectralDecomposition:
+    """Spectrum of a Hermitian matrix or (..., d, d) stack whose members must be states.
+
+    Raises ValueError unless every member has unit trace within TRACE_TOL
+    and no eigenvalue below PSD_FLOOR.
+    """
+    tr = np.trace(mats, axis1=-2, axis2=-1).real
+    dev = np.abs(tr - 1.0)
+    if (dev if mats.ndim == 2 else dev.max()) > TRACE_TOL:
+        raise ValueError(
+            f"trace {np.ravel(tr)[np.argmax(dev)]!r} deviates from 1 by more than {TRACE_TOL}"
+        )
+    eig = eig_hermitian(mats)
+    lam_min = eig.eigenvalues.min()
+    if lam_min < PSD_FLOOR:
+        raise ValueError(f"matrix is not PSD: min eigenvalue {lam_min:.3e}")
+    return eig
+
+
 @dataclass(eq=False)
 class DensityMatrix:
-    """Hermitian PSD trace-one matrix with a cached eigendecomposition."""
+    """Hermitian PSD trace-one matrix with its eigendecomposition."""
 
     mat: np.ndarray
-    _eig: linalg.SpectralDecomposition | None = field(default=None, repr=False)
+    eig: linalg.SpectralDecomposition = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.mat, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"density matrix must be square, got {m.shape}")
-        m = herm(m)
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace {tr!r} deviates from 1 by more than {TRACE_TOL}")
-        self.mat = m
-        if np.min(self.eig.eigenvalues) < PSD_FLOOR:
-            raise ValueError(
-                f"matrix is not PSD: min eigenvalue {np.min(self.eig.eigenvalues):.3e}"
-            )
+        self.mat = herm(m)
+        self.eig = check_states(self.mat)
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    @property
-    def eig(self) -> linalg.SpectralDecomposition:
-        if self._eig is None:
-            self._eig = eig_hermitian(self.mat)
-        return self._eig
 
     def is_full_rank(self, rank_tol: float = linalg.RANK_TOL) -> bool:
         w = self.eig.eigenvalues
         return bool(np.min(w) >= rank_tol * np.max(w))
 
     def func(self, f, rank_tol: float = linalg.RANK_TOL) -> np.ndarray:
-        """Support-restricted matrix function of the state."""
-        w, u = self.eig
-        sup = np.abs(w) >= rank_tol * np.max(np.abs(w))
-        fw = np.zeros_like(w)
-        pos = w[sup]
-        if f == "sqrt":
-            fw[sup] = np.sqrt(np.clip(pos, 0.0, None))
-        elif f == "log":
-            fw[sup] = np.log(pos)
-        elif f == "inverse":
-            fw[sup] = 1.0 / pos
-        elif isinstance(f, tuple) and f[0] == "power":
-            fw[sup] = np.power(pos, float(f[1]))
-        else:
-            raise ValueError(f"unknown matrix function {f!r}")
-        return herm(u @ np.diag(fw) @ u.conj().T)
+        """Support-restricted matrix function of the state (see linalg.spectral_function)."""
+        return linalg.spectral_function(*self.eig, f, rank_tol)
 
 
 TANGENT_TRACE_TOL = 1e-10

@@ -5,6 +5,7 @@ import pytest
 
 from qig import cli, io
 from qig.harness import SuiteReport
+from qig.reverse import ORACLE_GAP_TOL
 
 
 def write_json(path, obj):
@@ -111,6 +112,8 @@ class TestDivergenceCommand:
         res = json.loads(out.read_text())["results"]
         assert set(res) >= {"umegaki", "rld_closed", "rld_integral", "steps", "two_point_kl"}
         assert res["rld_integral"] == pytest.approx(res["rld_closed"], abs=1e-5)
+        assert res["integral_minus_closed"] == res["rld_integral"] - res["rld_closed"]
+        assert abs(res["integral_minus_closed"]) <= res["tolerances"]["integral_vs_closed"]
         assert res["two_point_kl"] == pytest.approx(res["rld_closed"], abs=1e-9)
 
 
@@ -133,6 +136,36 @@ class TestBoundAndGaussian:
         res = json.loads(out.read_text())["results"]
         assert res["reverse_bound"] >= res["estimation_bound"]
         assert res["oracle_relative_difference"] <= 1e-3
+        assert "oracle_converged" not in res
+        assert res["oracle_dual"] <= res["reverse_bound"] <= res["oracle_value"]
+        assert res["oracle_gap"] == res["oracle_value"] - res["oracle_dual"]
+        assert res["tolerances"]["oracle_gap"] == ORACLE_GAP_TOL
+        assert res["oracle_gap"] <= ORACLE_GAP_TOL * max(1.0, abs(res["oracle_value"]))
+
+    def test_bound_singular_weight_keeps_bounds(self, tmp_path):
+        # G = v v^T on m = 3: the minimum is not attained and the oracle
+        # cannot certify it; the bounds are still printed and reported
+        spec = write_json(
+            tmp_path / "threepar.json",
+            {
+                "kind": "explicit",
+                "rho": [[0.6, 0.0], [0.0, 0.4]],
+                "tangents": [
+                    [[0.0, 0.25], [0.25, 0.0]],
+                    [[0.0, [0.0, -0.25]], [[0.0, 0.25], 0.0]],
+                    [[0.25, 0.0], [0.0, -0.25]],
+                ],
+                "theta": [0.0, 0.0, 0.0],
+            },
+        )
+        weight = write_json(tmp_path / "rank1.json", {"weight": np.ones((3, 3)).tolist()})
+        out = tmp_path / "b.json"
+        assert cli.main(["bound", "--family", spec, "--weight", weight, "--out", str(out)]) == 0
+        res = json.loads(out.read_text())["results"]
+        assert res["reverse_bound"] == pytest.approx(0.78125, abs=1e-12)
+        assert res["reverse_bound"] >= res["estimation_bound"]
+        assert res["oracle_error"].startswith("min-trace oracle: gap")
+        assert not {"oracle_value", "oracle_dual", "oracle_gap"} & set(res)
 
     def test_gaussian_passes(self, tmp_path):
         out = tmp_path / "g.json"

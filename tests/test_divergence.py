@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import logm
 
+from qig import divergence
 from qig.channels import random_density, random_kraus
 from qig.divergence import (
     kl,
@@ -108,6 +109,50 @@ class TestIntegralForm:
         sigma = DensityMatrix(np.diag([0.25, 0.75]))
         ref = kl([0.5, 0.5], [0.25, 0.75])
         assert rld_divergence_integral(rho, sigma, 4000) == pytest.approx(ref, abs=1e-5)
+
+    @staticmethod
+    def per_point_loop(rho, sigma, steps):
+        """The trapezoid rule with one DensityMatrix per grid point."""
+        x = rho.mat - sigma.mat
+        eps = 1.0 / (2.0 * steps)
+        grid = np.linspace(eps, 1.0 - eps, steps + 1)
+        vals = []
+        for s in grid:
+            inv = DensityMatrix(s * rho.mat + (1.0 - s) * sigma.mat).func("inverse")
+            vals.append((1.0 - s) * float(np.trace(x @ inv @ x).real))
+        h = grid[1] - grid[0]
+        return h * (sum(vals) - 0.5 * (vals[0] + vals[-1])) + eps * (vals[0] + vals[-1])
+
+    def test_matches_per_point_loop(self):
+        """The stacked grid agrees with one DensityMatrix per grid point."""
+        for seed in (40, 41):
+            rng = np.random.default_rng(seed)
+            rho, sigma = random_density(3, rng), random_density(3, rng)
+            ref = self.per_point_loop(rho, sigma, 64)
+            assert rld_divergence_integral(rho, sigma, 64) == pytest.approx(ref, abs=1e-14)
+
+    def test_blocked_grid_matches_per_point_loop(self, monkeypatch):
+        """Blocks of 4 states (17 blocks, the last a single state) change nothing."""
+        monkeypatch.setattr(divergence, "INTEGRAL_BLOCK_ENTRIES", 4 * 9 + 8)
+        rng = np.random.default_rng(42)
+        rho, sigma = random_density(3, rng), random_density(3, rng)
+        ref = self.per_point_loop(rho, sigma, 64)
+        assert rld_divergence_integral(rho, sigma, 64) == pytest.approx(ref, abs=1e-14)
+
+    def test_blocked_grid_checks_each_state(self, monkeypatch):
+        """Grid points after the first block still get the per-point trace check."""
+        monkeypatch.setattr(divergence, "INTEGRAL_BLOCK_ENTRIES", 4 * 4)
+        rho = DensityMatrix(np.diag([0.7, 0.3]))
+        sigma = DensityMatrix(np.diag([0.4, 0.6]))
+        # trace of rho_s is 1 + 1e-11 s: only points with s > 0.1 break TRACE_TOL
+        rho.mat = rho.mat * (1.0 + 1e-11)
+        with pytest.raises(ValueError, match="trace"):
+            rld_divergence_integral(rho, sigma, 64)
+
+    def test_support_violation_inf(self):
+        rho = DensityMatrix(0.5 * np.eye(2))
+        sigma = DensityMatrix(np.diag([1.0, 0.0]))
+        assert rld_divergence_integral(rho, sigma, 64) == math.inf
 
     def test_qubit_pairs_match_closed_form(self):
         for seed in range(16, 26):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qig.errors import DimensionMismatchError, RankDeficiencyError
+from qig.errors import ConvergenceError, DimensionMismatchError, RankDeficiencyError
 from qig.linalg import (
     eig_hermitian,
     frob,
@@ -72,6 +72,36 @@ class TestEigHermitian:
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             eig_hermitian(np.array([[np.nan, 0], [0, 1.0]]))
+
+    def test_stack_equals_separate_calls(self):
+        rng = np.random.default_rng(9)
+        stack = np.stack([random_hermitian(3, rng) * 10.0 ** k for k in range(-3, 4)])
+        w, u = eig_hermitian(stack)
+        assert w.shape == (7, 3) and u.shape == (7, 3, 3)
+        for k, h in enumerate(stack):
+            wk, uk = eig_hermitian(h)
+            assert np.array_equal(w[k], wk)
+            assert np.array_equal(u[k], uk)
+
+    def test_stack_corrupted_member_raises(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        stack = np.stack([random_hermitian(2, rng) for _ in range(4)])
+        eigh = np.linalg.eigh
+
+        def corrupt_member_2(a):
+            w, u = eigh(a)
+            u = u.copy()
+            u[2] *= 1.0 + 1e-6  # member 2 is no longer unitary
+            return w, u
+
+        monkeypatch.setattr(np.linalg, "eigh", corrupt_member_2)
+        with pytest.raises(ConvergenceError, match="stack member 2"):
+            eig_hermitian(stack)
+
+    def test_herm_of_stack(self):
+        rng = np.random.default_rng(11)
+        g = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+        assert np.array_equal(herm(g), np.stack([herm(x) for x in g]))
 
 
 class TestMatrixFunction:
