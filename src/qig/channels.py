@@ -52,31 +52,32 @@ class KrausChannel:
 
 @dataclass(eq=False)
 class Ensemble:
-    """Weighted ensemble {(p(x), |phi_x>)} of unit vectors."""
+    """Weighted ensemble {(p(x), |phi_x>)} of unit vectors, stored as the rows of `states`."""
 
     weights: np.ndarray
-    states: list[np.ndarray]
+    states: np.ndarray  # (n, d)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
         if abs(self.weights.sum() - 1.0) > 1e-12 or np.any(self.weights < -1e-14):
             raise ValueError("ensemble weights must be nonnegative and sum to 1")
-        states = [np.asarray(v, dtype=complex).ravel() for v in self.states]
-        for v in states:
-            if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-                raise ValueError("ensemble states must be unit vectors")
-        self.states = states
+        self.states = np.asarray(self.states, dtype=complex).reshape(len(self.states), -1)
+        if np.any(np.abs(np.linalg.norm(self.states, axis=1) - 1.0) > 1e-12):
+            raise ValueError("ensemble states must be unit vectors")
+
+    @classmethod
+    def from_columns(cls, cols: np.ndarray) -> "Ensemble":
+        """The normalized columns of `cols`, weighted by their squared norms."""
+        p = np.clip(np.sum(np.abs(cols) ** 2, axis=0), 1e-300, None)
+        return cls(p / p.sum(), (cols / np.sqrt(p)).T)
 
     @property
     def size(self) -> int:
         return len(self.states)
 
-    def average_state(self) -> np.ndarray:
-        d = self.states[0].shape[0]
-        rho = np.zeros((d, d), dtype=complex)
-        for p, v in zip(self.weights, self.states):
-            rho += p * np.outer(v, v.conj())
-        return herm(rho)
+    def mix(self, c) -> np.ndarray:
+        """sum_x c_x |phi_x><phi_x|, e.g. the average state for c = weights."""
+        return herm((self.states.T * c) @ self.states.conj())
 
 
 def measure(point: FamilyPoint, povm: POVM) -> ClassicalFamilyPoint:
@@ -116,15 +117,9 @@ def cq_map(classical: ClassicalFamilyPoint, states: list[np.ndarray]) -> FamilyP
     """CQ map: rho = sum p(x)|phi_x><phi_x|, tangents from the score rows."""
     if len(states) != classical.probs.shape[0]:
         raise DimensionMismatchError("outcome count does not match state count")
-    vs = [np.asarray(v, dtype=complex).ravel() for v in states]
-    d = vs[0].shape[0]
-    projectors = [np.outer(v, v.conj()) for v in vs]
-    rho = sum(p * pr for p, pr in zip(classical.probs, projectors))
-    tangents = [
-        herm(sum(s * pr for s, pr in zip(row, projectors)))
-        for row in classical.scores
-    ]
-    return FamilyPoint(classical.theta, DensityMatrix(herm(rho)), tangents)
+    ens = Ensemble(classical.probs, states)
+    rho = DensityMatrix(ens.mix(ens.weights))
+    return FamilyPoint(classical.theta, rho, [ens.mix(row) for row in classical.scores])
 
 
 # --- seeded random instances -------------------------------------------------
@@ -149,12 +144,16 @@ def random_unitary(dim: int, seed=0) -> np.ndarray:
 
 
 def random_density(dim: int, seed=0) -> DensityMatrix:
-    """Full-rank random state: Ginibre mixed with I/d so all eigenvalues >= 0.02."""
+    """Full-rank random state: Ginibre mixed with I/d at weight 0.02 min(d, 49).
+
+    Every eigenvalue is >= 0.02 for d < 50 and >= 0.98/d beyond; the
+    Ginibre part keeps weight >= 0.02, so the state is never I/d.
+    """
     rng = _as_rng(seed)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
-    t = min(1.0, FULL_RANK_FLOOR * dim)
+    t = FULL_RANK_FLOOR * min(dim, 49)
     rho = (1.0 - t) * rho + t * np.eye(dim) / dim
     return DensityMatrix(herm(rho))
 

@@ -27,13 +27,12 @@ from .divergence import (
     rld_divergence_integral,
     two_point_reverse_estimate,
 )
-from .errors import ConvergenceError, NotReverseEstimableError, QigError
+from .errors import ConvergenceError, NotReverseEstimableError, QigError, SpecFileError
 from .families import build_family
-from .fisher import rld_fisher, sld_fisher
+from .fisher import km_fisher, rld_fisher, sld_fisher
 from .harness import (
     GaussianSpec,
     gaussian_check,
-    km_fisher,
     monotone_divergence_suite,
     monotone_metric_suite,
 )
@@ -98,37 +97,37 @@ def _write_report(path: Path, command, seed, spec_echo, results) -> None:
     print(f"report written to {path}")
 
 
-def _load_spec(args) -> dict:
+def _load_family(args, grid: bool = False):
+    """(spec, family) of --family; refuses a grid kind where one point is needed, and vice versa."""
     spec = io.load_family_spec(args.family)
-    if getattr(args, "theta", None):
+    if args.theta:
         spec["theta"] = [float(v) for v in args.theta.split(",")]
-    return spec
+    family = build_family(spec)
+    if isinstance(family, list) != grid:
+        need = "a grid family (kind fixed_basis)" if grid else "a single family point"
+        raise SpecFileError(f"qig {args.cmd} needs {need}, got kind {spec['kind']!r}")
+    return spec, family
 
 
 def _cmd_fisher(args) -> int:
-    spec = _load_spec(args)
-    point = build_family(spec)
-    if isinstance(point, list):
-        point = point[0]
+    spec, point = _load_family(args)
     results = {"theta": list(point.theta), "dim": point.dim, "tolerances": {"psd_slack": 1e-10}}
-    js = sld_fisher(point)
-    jr = rld_fisher(point)
+    js, jr, jkm = sld_fisher(point), rld_fisher(point), km_fisher(point)
     results["sld_fisher"] = io.qfisher_to_json(js)
+    results["km_fisher"] = io.qfisher_to_json(jkm)
     results["rld_fisher"] = io.qfisher_to_json(jr)
     print(f"family: {spec['kind']}  dim {point.dim}  m {point.m}")
     _print_matrix("J^S (SLD)", js.as_complex())
+    _print_matrix("J^KM (Kubo-Mori)", jkm.as_complex())
     _print_matrix("J^R (RLD)", jr.as_complex())
     if point.m == 1:
-        jkm = km_fisher(point)
-        results["km_fisher"] = io.qfisher_to_json(jkm)
         print(f"  scalar: J^S = {_fmt(js.scalar)}  J^KM = {_fmt(jkm.scalar)}  J^R = {_fmt(jr.scalar)}")
     _write_report(_report_path(args, args.family, "fisher"), sys.argv[1:], _resolve_seed(args), spec, results)
     return 0
 
 
 def _cmd_reverse(args) -> int:
-    spec = _load_spec(args)
-    point = build_family(spec)
+    spec, point = _load_family(args)
     lre = local_reverse_estimate(point)
     rep = validate_reverse_estimate(lre, point)
     jr = rld_fisher(point).scalar
@@ -152,10 +151,7 @@ def _cmd_reverse(args) -> int:
 
 
 def _cmd_global(args) -> int:
-    spec = _load_spec(args)
-    points = build_family(spec)
-    if not isinstance(points, list):
-        raise QigError("global reverse estimation needs a grid family (kind fixed_basis)")
+    spec, points = _load_family(args, grid=True)
     seed = _resolve_seed(args)
     norm = global_commutation_check(points)
     results = {"commutator_norm": norm, "tolerances": {"commutation": 1e-8, "input_fisher": 1e-7}}
@@ -225,10 +221,7 @@ def _cmd_divergence(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    spec = _load_spec(args)
-    point = build_family(spec)
-    if isinstance(point, list):
-        point = point[0]
+    spec, point = _load_family(args)
     seed = _resolve_seed(args)
     jr = rld_fisher(point)
     g = io.load_weight(args.weight) if args.weight else np.eye(point.m)

@@ -33,11 +33,7 @@ def kl(p, q) -> float:
 
 
 def _support_violation(rho: DensityMatrix, sigma: DensityMatrix, rank_tol: float) -> bool:
-    w, u = sigma.eig
-    sup = linalg.support_mask(w, rank_tol)
-    p = u[:, sup] @ u[:, sup].conj().T
-    leak = frob(rho.mat - p @ rho.mat @ p)
-    return leak > 1e-9
+    return linalg.support_leak(rho.mat, *sigma.eig, rank_tol)[0] > linalg.SUPPORT_TOL
 
 
 def umegaki(rho: DensityMatrix, sigma: DensityMatrix, rank_tol: float = linalg.RANK_TOL) -> float:
@@ -112,12 +108,7 @@ class TwoPointReverseEstimate:
             raise ValueError("distribution length does not match ensemble size")
 
     def reconstruct(self, which: str) -> np.ndarray:
-        p = self.p_rho if which == "rho" else self.p_sigma
-        d = self.ensemble.states[0].shape[0]
-        out = np.zeros((d, d), dtype=complex)
-        for w, v in zip(p, self.ensemble.states):
-            out += w * np.outer(v, v.conj())
-        return herm(out)
+        return self.ensemble.mix(self.p_rho if which == "rho" else self.p_sigma)
 
     def input_kl(self) -> float:
         return kl(self.p_rho, self.p_sigma)
@@ -137,15 +128,9 @@ def two_point_reverse_estimate(rho: DensityMatrix, sigma: DensityMatrix) -> TwoP
     sp = sigma.func("sqrt")
     t = herm(sm @ rho.mat @ sm)
     d_x, u = np.linalg.eigh(t)
-    d_x = np.clip(d_x, 0.0, None)
-    cols = sp @ u
-    p_sigma = np.sum(np.abs(cols) ** 2, axis=0)
-    p_sigma = np.clip(p_sigma, 1e-300, None)
-    states = [cols[:, x] / np.sqrt(p_sigma[x]) for x in range(len(p_sigma))]
-    p_sigma = p_sigma / p_sigma.sum()
-    p_rho = d_x * p_sigma
-    p_rho = p_rho / p_rho.sum()
-    return TwoPointReverseEstimate(Ensemble(p_sigma, states), p_rho, p_sigma)
+    ens = Ensemble.from_columns(sp @ u)
+    p_rho = np.clip(d_x, 0.0, None) * ens.weights
+    return TwoPointReverseEstimate(ens, p_rho / p_rho.sum(), ens.weights)
 
 
 def split_two_point_estimate(

@@ -75,38 +75,48 @@ def fixed_basis_family(
 def build_family(spec: dict):
     """Build family point(s) from a parsed spec dict (see the file format docs).
 
-    Returns a FamilyPoint, or a list of FamilyPoint for grid kinds.
+    Returns a FamilyPoint, or a list of FamilyPoint for grid kinds.  A
+    missing required field or a theta of the wrong length raises
+    SpecFileError.
     """
     kind = spec.get("kind")
+
+    def field(name):
+        if name not in spec:
+            raise SpecFileError(f"{kind} spec: missing required field {name!r}")
+        return spec[name]
+
+    def theta(m):
+        th = np.atleast_1d(np.asarray(spec.get("theta", np.zeros(m)), dtype=float))
+        if th.shape != (m,):
+            raise SpecFileError(f"{kind} spec: theta has {th.size} components, expected {m}")
+        return th
+
     deriv = spec.get("derivative", {"mode": "analytic"})
     if kind == "explicit":
-        rho = DensityMatrix(np.asarray(spec["rho"], dtype=complex))
-        tangents = [np.asarray(t, dtype=complex) for t in spec["tangents"]]
-        theta = spec.get("theta", [0.0] * len(tangents))
-        return FamilyPoint(theta, rho, tangents)
+        rho = DensityMatrix(np.asarray(field("rho"), dtype=complex))
+        tangents = [np.asarray(t, dtype=complex) for t in field("tangents")]
+        return FamilyPoint(theta(len(tangents)), rho, tangents)
     if kind == "bloch_rotation":
-        theta = float(np.atleast_1d(spec.get("theta", [0.0]))[0])
         step = deriv.get("step") if deriv.get("mode") == "finite_difference" else None
-        return bloch_rotation_point(float(spec["r"]), theta, fd_step=step)
+        return bloch_rotation_point(float(field("r")), float(theta(1)[0]), fd_step=step)
     if kind == "classical_simplex":
-        return classical_simplex_point(
-            spec["probs"], spec["scores"], spec.get("theta")
-        )
+        return classical_simplex_point(field("probs"), field("scores"), spec.get("theta"))
     if kind == "fixed_basis":
         basis = (
             np.asarray(spec["basis"], dtype=complex)
             if "basis" in spec
-            else np.eye(len(spec["prob_table"][0]))
+            else np.eye(len(field("prob_table")[0]))
         )
         return fixed_basis_family(
-            basis, spec["prob_table"], spec["theta_grid"], spec.get("score_table")
+            basis, field("prob_table"), field("theta_grid"), spec.get("score_table")
         )
     if kind == "gaussian":
         gspec = GaussianSpec(
             sigma2=float(spec.get("sigma2", 1.0)),
             hbar=float(spec.get("hbar", 1.0)),
             truncation=int(spec.get("truncation", 80)),
-            theta=tuple(spec.get("theta", (0.0, 0.0))),
+            theta=tuple(theta(2).tolist()),
         )
         return gaussian_family(gspec)
     raise SpecFileError(f"unknown family kind {kind!r}")

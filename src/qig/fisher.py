@@ -14,11 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import RldExistenceError, SingularFamilyError
+from .errors import RankDeficiencyError, RldExistenceError, SingularFamilyError
 from .linalg import frob, herm, solve_lyapunov
 from .states import DensityMatrix, FamilyPoint
-
-RLD_SUPPORT_TOL = 1e-9
 
 
 @dataclass(eq=False)
@@ -90,44 +88,66 @@ def rld(rho: DensityMatrix, x: np.ndarray, rank_tol: float = linalg.RANK_TOL) ->
     """Right logarithmic derivative L = X rho^+ on the support of rho.
 
     Exists iff X has no weight outside the support; the out-of-support
-    norm is checked against an absolute 1e-9 tolerance.
+    norm is checked against the absolute linalg.SUPPORT_TOL.
     """
     x = np.asarray(x, dtype=complex)
     w, u = rho.eig
-    sup = linalg.support_mask(w, rank_tol)
-    p = u[:, sup] @ u[:, sup].conj().T
-    out = frob(x - p @ x @ p)
-    if out > RLD_SUPPORT_TOL:
+    out, pxp = linalg.support_leak(x, w, u, rank_tol)
+    if out > linalg.SUPPORT_TOL:
         raise RldExistenceError(out)
-    inv = np.zeros_like(w)
-    inv[sup] = 1.0 / w[sup]
+    inv = np.divide(1.0, w, out=np.zeros_like(w), where=linalg.support_mask(w, rank_tol))
     pinv = u @ np.diag(inv) @ u.conj().T
     l = x @ pinv
-    res = frob(l @ rho.mat - p @ x @ p)
+    res = frob(l @ rho.mat - pxp)
     if res > 1e-10 * max(1e-30, frob(x)):
         raise RldExistenceError(out, f"RLD residual {res:.3e} too large")
     return l
 
 
+def _metric(point: FamilyPoint, kernel: np.ndarray) -> np.ndarray:
+    """J_ij = sum_ab (X~_i)_ab conj(X~_j)_ab k(lam_a, lam_b), X~ = U^dag X U.
+
+    Every monotone metric has this form in the eigenbasis of
+    rho = U diag(lam) U^dag (Petz 1996); `kernel` holds k(lam_a, lam_b)
+    as a (d, d) array or one that broadcasts to it.
+    """
+    u = point.rho.eig.eigenvectors
+    xt = u.conj().T @ np.reshape(point.tangents, (point.m, point.dim, point.dim)) @ u
+    return np.einsum("iab,jab->ij", xt * kernel, xt.conj())
+
+
 def sld_fisher(point: FamilyPoint) -> QFisherMatrix:
-    """J^S_ij = Re Tr rho L_i L_j with SLDs L_i."""
-    ls = [sld(point.rho, x) for x in point.tangents]
-    m = point.m
-    j = np.zeros((m, m))
-    for i in range(m):
-        for k in range(m):
-            j[i, k] = np.trace(point.rho.mat @ ls[i] @ ls[k]).real
-    return QFisherMatrix(m, j, np.zeros((m, m)), "SLD")
+    """J^S_ij = Re Tr rho L_i L_j with SLDs L_i: kernel 2/(lam_a + lam_b)."""
+    w = point.rho.eig.eigenvalues
+    if not point.rho.is_full_rank():
+        raise RankDeficiencyError(f"state is rank deficient (min eigenvalue {w[0]:.3e}); SLD is not unique")
+    j = _metric(point, 2.0 / (w[:, None] + w[None, :])).real
+    return QFisherMatrix(point.m, j, np.zeros_like(j), "SLD")
+
+
+def km_fisher(point: FamilyPoint) -> QFisherMatrix:
+    """Kubo-Mori metric: kernel (ln a - ln b)/(a - b), and 1/a where a = b.
+
+    On real tangent vectors J^S <= J^KM <= Re J^R in Loewner order.
+    """
+    w = point.rho.eig.eigenvalues
+    if not point.rho.is_full_rank():
+        raise RankDeficiencyError(f"state is rank deficient (min eigenvalue {w[0]:.3e}); KM needs log rho")
+    a, b = w[:, None], w[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = (np.log(a) - np.log(b)) / (a - b)
+        c = np.where(np.abs(a - b) <= 1e-12 * np.maximum(a, b), 1.0 / a, c)
+    j = _metric(point, c).real
+    return QFisherMatrix(point.m, j, np.zeros_like(j), "KM")
 
 
 def rld_fisher(point: FamilyPoint, rank_tol: float = linalg.RANK_TOL) -> QFisherMatrix:
-    """J^R_ij = Tr rho L_j^dag L_i with RLDs L_i; Hermitian PSD."""
-    ls = [rld(point.rho, x, rank_tol=rank_tol) for x in point.tangents]
-    m = point.m
-    j = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for k in range(m):
-            j[i, k] = np.trace(point.rho.mat @ ls[k].conj().T @ ls[i])
+    """J^R_ij = Tr rho L_j^dag L_i with RLDs L_i: kernel 1/lam_b on the support; Hermitian PSD."""
+    for x in point.tangents:
+        rld(point.rho, x, rank_tol=rank_tol)  # raises RldExistenceError if no RLD exists
+    w = point.rho.eig.eigenvalues
+    inv = np.divide(1.0, w, out=np.zeros_like(w), where=linalg.support_mask(w, rank_tol))
+    j = _metric(point, inv[None, :])
     out = QFisherMatrix.from_complex(j, "RLD")
     if out.min_eigenvalue() < -1e-10 * max(1.0, frob(j)):
         raise ValueError(f"RLD Fisher matrix not PSD: min eigenvalue {out.min_eigenvalue():.3e}")
@@ -157,13 +177,9 @@ def rld_imag_diagnostic(point: FamilyPoint) -> dict:
     no equality is asserted since the Hermiticity convention for the
     non-Hermitian L^R is not fixed.
     """
-    ls = [rld(point.rho, x) for x in point.tangents]
-    m = point.m
-    comm = np.zeros((m, m))
-    for i in range(m):
-        for k in range(m):
-            c = ls[i] @ ls[k] - ls[k] @ ls[i]
-            comm[i, k] = -0.5 * np.trace(point.rho.mat @ c).imag
+    ls = np.array([rld(point.rho, x) for x in point.tangents])
+    t = np.einsum("iac,kca->ik", point.rho.mat @ ls, ls)  # Tr rho L_i L_k
+    comm = -0.5 * (t - t.T).imag
     imag = rld_fisher(point).imag_part
     return {"imag_part": imag, "commutator_form": comm, "difference": frob(imag - comm)}
 

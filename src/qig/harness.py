@@ -16,7 +16,7 @@ from numpy.polynomial.hermite import hermgauss
 from .channels import child_rng, random_family_point, random_kraus, random_povm, random_density, measure, optimal_sld_povm, apply_channel
 from .divergence import rld_divergence, two_point_reverse_estimate, umegaki
 from .errors import TruncationError
-from .fisher import QFisherMatrix, classical_fisher, rld_fisher, sld_fisher
+from .fisher import classical_fisher, finite_difference_tangents, km_fisher, rld_fisher, sld_fisher
 from .linalg import herm
 from .reverse import input_fisher, local_reverse_estimate, multiparam_bounds
 from .states import DensityMatrix, FamilyPoint
@@ -54,33 +54,21 @@ class SuiteReport:
                    details or {})
 
 
-def km_fisher(point: FamilyPoint) -> QFisherMatrix:
-    """Kubo-Mori metric (1-dim): sum |X_ij|^2 c(lam_i, lam_j) in the rho eigenbasis,
-
-    with c(a, b) = (ln a - ln b)/(a - b) and c(a, a) = 1/a.  Serves as
-    the witness monotone metric between the SLD and RLD values.
-    """
-    if point.m != 1:
-        raise ValueError("Kubo-Mori witness is computed for 1-dim families")
-    w, u = point.rho.eig
-    xt = u.conj().T @ point.tangents[0] @ u
-    a = w[:, None]
-    b = w[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = (np.log(a) - np.log(b)) / (a - b)
-    same = np.abs(a - b) <= 1e-12 * np.maximum(a, b)
-    c[same] = (1.0 / a * np.ones_like(b))[same]
-    j = float(np.sum(np.abs(xt) ** 2 * c).real)
-    return QFisherMatrix(1, np.array([[j]]), np.zeros((1, 1)), "KM")
+def _check_run(trials: int, dims) -> list[int]:
+    """Refuse a run that checks nothing: no trials, or a dimension below 2."""
+    dims = [int(d) for d in dims]
+    if trials < 1 or not dims or min(dims) < 2:
+        raise ValueError(f"suites need trials >= 1 and every dim >= 2, got {trials} trials, dims {dims}")
+    return dims
 
 
 def _dim_for_trial(dims, rng) -> int:
-    dims = list(dims)
     return int(dims[rng.integers(len(dims))])
 
 
 def monotone_metric_suite(trials: int, dims=(2, 3), seed: int = 42) -> SuiteReport:
     """Sandwich J^S <= J^KM <= J^R, measurement bound, LRE equality, CPT monotonicity."""
+    dims = _check_run(trials, dims)
     checks = {
         "km_minus_sld": [], "rld_minus_km": [],
         "sld_minus_measured": [], "optimal_povm_equality": [],
@@ -113,6 +101,7 @@ def monotone_metric_suite(trials: int, dims=(2, 3), seed: int = 42) -> SuiteRepo
 
 def monotone_divergence_suite(trials: int, dims=(2, 3), seed: int = 43) -> SuiteReport:
     """Umegaki <= D^R, CPT monotonicity, additivity, and two-point achievability."""
+    dims = _check_run(trials, dims)
     checks = {
         "rld_minus_umegaki": [],
         "cpt_umegaki": [], "cpt_rld_div": [],
@@ -167,15 +156,6 @@ class GaussianSpec:
             raise ValueError("truncation must be >= 20")
 
 
-def coherent_vector(alpha: complex, n_max: int) -> np.ndarray:
-    """Truncated coherent state c_n = exp(-|a|^2/2) a^n / sqrt(n!)."""
-    c = np.empty(n_max + 1, dtype=complex)
-    c[0] = np.exp(-0.5 * abs(alpha) ** 2)
-    for n in range(n_max):
-        c[n + 1] = c[n] * alpha / np.sqrt(n + 1.0)
-    return c
-
-
 def _gaussian_rho(spec: GaussianSpec, theta) -> tuple[np.ndarray, float]:
     """Quadrature mixture of coherent projectors; returns (rho, raw trace)."""
     sig = np.sqrt(spec.sigma2)
@@ -200,27 +180,19 @@ def gaussian_family(spec: GaussianSpec, fd_step: float = 1e-4) -> FamilyPoint:
     """Fock-truncated isotropic Gaussian (coherent-mixture) family, m = 2.
 
     Tangents in the two mean parameters by central differences.  The
-    pre-normalization trace must stay within leakage_tol of 1.
+    pre-normalization trace must stay within leakage_tol of 1 at every
+    evaluated theta.
     """
-    rho_raw, tr = _gaussian_rho(spec, spec.theta)
-    if not (1.0 - spec.leakage_tol <= tr <= 1.0 + spec.leakage_tol):
-        raise TruncationError(
-            f"truncation leakage {abs(1.0 - tr):.2e} exceeds {spec.leakage_tol:.1e}; "
-            f"increase truncation (N = {spec.truncation})"
-        )
-    rho = DensityMatrix(rho_raw / tr)
-    tangents = []
-    for i in range(2):
-        tp = list(spec.theta)
-        tm = list(spec.theta)
-        tp[i] += fd_step
-        tm[i] -= fd_step
-        rp, trp = _gaussian_rho(spec, tp)
-        rm, trm = _gaussian_rho(spec, tm)
-        x = herm((rp / trp - rm / trm) / (2.0 * fd_step))
-        x -= (np.trace(x) / x.shape[0]) * np.eye(x.shape[0])
-        tangents.append(x)
-    return FamilyPoint(np.asarray(spec.theta, dtype=float), rho, tangents)
+    def normalized(theta):
+        rho, tr = _gaussian_rho(spec, theta)
+        if not (1.0 - spec.leakage_tol <= tr <= 1.0 + spec.leakage_tol):
+            raise TruncationError(
+                f"truncation leakage {abs(1.0 - tr):.2e} exceeds {spec.leakage_tol:.1e}; "
+                f"increase truncation (N = {spec.truncation})"
+            )
+        return rho / tr
+
+    return finite_difference_tangents(normalized, spec.theta, fd_step)
 
 
 def gaussian_closed_form(spec: GaussianSpec) -> np.ndarray:

@@ -16,6 +16,8 @@ from .errors import ConvergenceError, DimensionMismatchError, RankDeficiencyErro
 # Relative support cutoff: eigenvalues below RANK_TOL * lambda_max are
 # treated as zero by the pseudo matrix functions.
 RANK_TOL = 1e-12
+# Absolute ||X - P X P||_F above which X counts as leaving the support P.
+SUPPORT_TOL = 1e-9
 
 
 class SpectralDecomposition(NamedTuple):
@@ -80,6 +82,14 @@ def support_mask(w: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
     mag = np.abs(w)
     lam_max = mag.max(axis=-1, keepdims=True, initial=0.0)
     return (mag >= rank_tol * lam_max) & (lam_max > 0)
+
+
+def support_leak(x: np.ndarray, w: np.ndarray, u: np.ndarray, rank_tol: float = RANK_TOL):
+    """(||X - P X P||_F, P X P) with P the projector onto the support of the spectrum (w, u)."""
+    sup = support_mask(w, rank_tol)
+    p = u[:, sup] @ u[:, sup].conj().T
+    pxp = p @ x @ p
+    return frob(x - pxp), pxp
 
 
 def spectral_function(w, u, f, rank_tol: float = RANK_TOL, strict: bool = False) -> np.ndarray:

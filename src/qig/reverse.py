@@ -51,11 +51,7 @@ class LocalReverseEstimate:
 
     def tangent(self, i: int = 0) -> np.ndarray:
         """sum_x lambda_{i,x} p(x) |phi_x><phi_x|."""
-        d = self.ensemble.states[0].shape[0]
-        out = np.zeros((d, d), dtype=complex)
-        for lam, p, v in zip(self.scores[i], self.ensemble.weights, self.ensemble.states):
-            out += lam * p * np.outer(v, v.conj())
-        return herm(out)
+        return self.ensemble.mix(self.scores[i] * self.ensemble.weights)
 
 
 def local_reverse_estimate(point: FamilyPoint) -> LocalReverseEstimate:
@@ -73,12 +69,7 @@ def local_reverse_estimate(point: FamilyPoint) -> LocalReverseEstimate:
     rp = point.rho.func("sqrt")
     a = herm(rm @ point.tangents[0] @ rm)
     lam, u = np.linalg.eigh(a)
-    cols = rp @ u
-    p = np.sum(np.abs(cols) ** 2, axis=0)
-    p = np.clip(p, 1e-300, None)
-    states = [cols[:, x] / np.sqrt(p[x]) for x in range(len(p))]
-    p = p / p.sum()
-    return LocalReverseEstimate(Ensemble(p, states), lam[None, :], point.theta)
+    return LocalReverseEstimate(Ensemble.from_columns(rp @ u), lam[None, :], point.theta)
 
 
 def input_fisher(lre: LocalReverseEstimate) -> QFisherMatrix:
@@ -100,7 +91,8 @@ def validate_reverse_estimate(
     candidate: LocalReverseEstimate, point: FamilyPoint, residual_cap: float = 1e-6
 ) -> ReverseEstimateReport:
     """Check the simulation constraints and the Fisher gap J - J^R >= 0."""
-    rho_res = frob(candidate.ensemble.average_state() - point.rho.mat)
+    ens = candidate.ensemble
+    rho_res = frob(ens.mix(ens.weights) - point.rho.mat)
     tan_res = max(
         frob(candidate.tangent(i) - point.tangents[i]) for i in range(candidate.m)
     )
@@ -146,37 +138,29 @@ def random_valid_lre(point: FamilyPoint, seed=0, n_components: int | None = None
     if res > 1e-8 * max(1.0, frob(a)):
         # fall back to the exact min-norm solution
         lam = lam0
-    cols = rp @ v
-    p = np.sum(np.abs(cols) ** 2, axis=0)
-    p = np.clip(p, 1e-300, None)
-    states = [cols[:, x] / np.sqrt(p[x]) for x in range(n)]
-    p = p / p.sum()
-    return LocalReverseEstimate(Ensemble(p, states), lam[None, :], point.theta)
+    return LocalReverseEstimate(Ensemble.from_columns(rp @ v), lam[None, :], point.theta)
 
 
 # --- global reverse estimation ----------------------------------------------
 
 
-def global_commutation_check(points: list[FamilyPoint]) -> float:
-    """Max Frobenius norm of [L^R_{theta,i}, L^R_{theta',j}] over the grid."""
+def _grid_rlds(points: list[FamilyPoint]) -> list[np.ndarray]:
+    """RLDs of every tangent at every grid point; the states must be full rank."""
     ls = []
     for pt in points:
         if not pt.rho.is_full_rank():
             raise RankDeficiencyError("global reverse estimation requires full-rank states")
         ls.extend(rld(pt.rho, x) for x in pt.tangents)
-    worst = 0.0
-    for i in range(len(ls)):
-        for j in range(i, len(ls)):
-            worst = max(worst, frob(ls[i] @ ls[j] - ls[j] @ ls[i]))
-    return worst
+    return ls
 
 
-def _commutation_scale(points: list[FamilyPoint]) -> float:
-    top = 0.0
-    for pt in points:
-        for x in pt.tangents:
-            top = max(top, frob(rld(pt.rho, x)))
-    return max(1.0, top * top)
+def _max_commutator(ls: list[np.ndarray]) -> float:
+    return max((frob(a @ b - b @ a) for i, a in enumerate(ls) for b in ls[i:]), default=0.0)
+
+
+def global_commutation_check(points: list[FamilyPoint]) -> float:
+    """Max Frobenius norm of [L^R_{theta,i}, L^R_{theta',j}] over the grid."""
+    return _max_commutator(_grid_rlds(points))
 
 
 @dataclass(eq=False)
@@ -201,9 +185,9 @@ def global_reverse_estimate(
     fresh seed up to 5 times); refuses if the commutation criterion
     fails.
     """
-    norm = global_commutation_check(points)
-    tol = 1e-8 * _commutation_scale(points)
-    if norm > tol:
+    ls = _grid_rlds(points)
+    norm = _max_commutator(ls)
+    if norm > 1e-8 * max(1.0, max((frob(l) for l in ls), default=0.0) ** 2):
         raise NotReverseEstimableError(norm)
     rho0 = points[base_index].rho
     rm = rho0.func(("power", -0.5))
@@ -231,10 +215,9 @@ def global_reverse_estimate(
     dists /= dists.sum(axis=1, keepdims=True)
     w0 = AmplitudeMatrix(cols / np.sqrt(np.sum(cw)))
     # reconstruction check at every grid point
-    phis = [cols[:, x] / max(np.sqrt(cw[x]), 1e-150) for x in range(len(cw))]
+    ens = Ensemble.from_columns(cols)
     for k, pt in enumerate(points):
-        recon = sum(p * np.outer(v, v.conj()) for p, v in zip(dists[k], phis))
-        if frob(recon - pt.rho.mat) > 1e-8:
+        if frob(ens.mix(dists[k]) - pt.rho.mat) > 1e-8:
             raise NotReverseEstimableError(norm)
     thetas = np.array([pt.theta for pt in points])
     return GlobalReverseEstimate(w0, thetas, dists, base_index, basis=u, base_weights=cw)

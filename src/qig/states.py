@@ -186,32 +186,12 @@ def lift_tangent(w: AmplitudeMatrix, x: np.ndarray, kind: str) -> TangentLift:
     return TangentLift(w, l @ w.w)
 
 
-def _hermitian_basis(n: int):
-    """Real basis of n x n Hermitian matrices (n^2 elements)."""
-    basis = []
-    for i in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = e[j, i] = 1.0
-            basis.append(e)
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = -1j
-            e[j, i] = 1j
-            basis.append(e)
-    return basis
-
-
 def reverse_sld(w: AmplitudeMatrix, x: np.ndarray, residual_tol: float = 1e-9) -> np.ndarray:
     """Hermitian ancilla-side operator A with L^R W = W A.
 
-    Solved by least squares over the d' x d' Hermitian space; accepted
+    Closed form A = W^+ X (W^+)^dag, the minimum-norm solution; accepted
     only if the defining residual is within residual_tol.  In the
-    canonical gauge W = rho^(1/2) the solution is
-    rho^(-1/2) X rho^(-1/2).
+    canonical gauge W = rho^(1/2) this is rho^(-1/2) X rho^(-1/2).
     """
     from .fisher import rld
 
@@ -220,19 +200,14 @@ def reverse_sld(w: AmplitudeMatrix, x: np.ndarray, residual_tol: float = 1e-9) -
         raise RankDeficiencyError("reverse SLD requires a full-rank state")
     x = herm(np.asarray(x, dtype=complex))
     l = rld(rho, x)
-    rhs = l @ w.w
-    basis = _hermitian_basis(w.ancilla_dim)
-    cols = np.stack([(w.w @ b).ravel() for b in basis], axis=1)
-    design = np.vstack([cols.real, cols.imag])
-    target = np.concatenate([rhs.ravel().real, rhs.ravel().imag])
-    coef, *_ = np.linalg.lstsq(design, target, rcond=None)
-    a = sum(c * b for c, b in zip(coef, basis))
+    wp = np.linalg.pinv(w.w)
+    a = herm(wp @ x @ wp.conj().T)
     res = frob(l @ w.w - w.w @ a)
     if res > residual_tol:
         raise RankDeficiencyError(
             f"no Hermitian reverse SLD in this gauge: residual {res:.3e} > {residual_tol:.1e}"
         )
-    return herm(a)
+    return a
 
 
 def duality_gap(w: AmplitudeMatrix, x: np.ndarray) -> float:

@@ -19,7 +19,7 @@ from qig.channels import (
 from qig.errors import DimensionMismatchError
 from qig.families import PAULI_X, PAULI_Y, PAULI_Z, bloch_rotation_point
 from qig.fisher import classical_fisher, rld_fisher, sld_fisher
-from qig.linalg import frob
+from qig.linalg import frob, herm
 from qig.reverse import local_reverse_estimate
 from qig.states import DensityMatrix, FamilyPoint
 
@@ -52,6 +52,17 @@ class TestPovmAndKraus:
     def test_kraus_rejects_non_tp(self):
         with pytest.raises(ValueError):
             KrausChannel([np.eye(2)] * 2)
+
+    def test_ensemble_from_columns_and_mix(self):
+        rng = np.random.default_rng(12)
+        cols = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+        cols /= np.linalg.norm(cols)
+        ens = Ensemble.from_columns(cols)
+        assert ens.size == 5
+        assert frob(ens.mix(ens.weights) - cols @ cols.conj().T) <= 1e-14
+        c = rng.normal(size=5)
+        direct = sum(ck * np.outer(v, v.conj()) for ck, v in zip(c, ens.states))
+        assert frob(ens.mix(c) - direct) <= 1e-14
 
     def test_ensemble_invariants(self):
         with pytest.raises(ValueError):
@@ -185,6 +196,25 @@ class TestRandomInstances:
         for seed in range(20):
             rho = random_density(4, seed)
             assert np.min(rho.eig.eigenvalues) >= 0.02 / 4 - 1e-12
+
+    def test_density_draws_below_50_pinned(self):
+        # Ginibre mixed with I/d at weight 0.02 d: the seeded suites rely on these draws
+        for dim in (2, 3, 17, 49):
+            rng = np.random.default_rng(dim)
+            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+            rho = g @ g.conj().T
+            rho /= np.trace(rho).real
+            t = 0.02 * dim
+            expected = herm((1.0 - t) * rho + t * np.eye(dim) / dim)
+            drawn = random_density(dim, dim)
+            assert np.array_equal(drawn.mat, expected)
+            assert np.min(drawn.eig.eigenvalues) >= 0.02 - 1e-12
+
+    def test_density_large_dim_not_maximally_mixed(self):
+        for dim in (50, 64):
+            w = random_density(dim, 3).eig.eigenvalues
+            assert w[-1] - w[0] > 1e-4
+            assert w[0] >= 0.98 / dim - 1e-12
 
     def test_unitary_is_unitary(self):
         u = random_unitary(3, 5)

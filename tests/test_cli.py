@@ -207,6 +207,13 @@ class TestExitCodesAndSeeds:
         monkeypatch.chdir(tmp_path)
         assert cli.main(["monotone", "--trials", "3", "--dims", "2", "--seed", "5"]) == 0
 
+    def test_vacuous_monotone_run_is_input_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["monotone", "--trials", "0"]) == 1
+        assert "trials" in capsys.readouterr().err
+        assert cli.main(["monotone", "--trials", "3", "--dims", "1"]) == 1
+        assert "dim" in capsys.readouterr().err
+
     def test_env_seed_overrides_flag(self, bloch_spec, tmp_path, monkeypatch):
         monkeypatch.setenv("QIG_SEED", "777")
         out = tmp_path / "r.json"
@@ -217,3 +224,55 @@ class TestExitCodesAndSeeds:
         assert cli.main(["fisher", "--family", bloch_spec]) == 0
         sidecar = bloch_spec.replace(".json", ".report.json")
         assert json.loads(open(sidecar).read())["results"]
+
+
+class TestSpecErrors:
+    """Spec files the builders cannot honour exit 1 with a message naming the field or kind."""
+
+    @pytest.fixture
+    def grid_spec(self, tmp_path):
+        grid = np.linspace(0.2, 0.8, 3)
+        return write_json(tmp_path / "grid.json", {
+            "kind": "fixed_basis",
+            "prob_table": np.stack([grid, 1 - grid], axis=1).tolist(),
+            "theta_grid": grid.tolist(),
+        })
+
+    def _fails(self, argv, capsys, *words):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and all(w in err for w in words), err
+
+    def test_reverse_on_grid(self, grid_spec, capsys):
+        self._fails(["reverse", "--family", grid_spec], capsys, "fixed_basis")
+
+    def test_fisher_on_grid(self, grid_spec, capsys):
+        self._fails(["fisher", "--family", grid_spec], capsys, "fixed_basis")
+
+    def test_bound_on_grid(self, grid_spec, capsys):
+        self._fails(["bound", "--family", grid_spec], capsys, "fixed_basis")
+
+    def test_global_on_point(self, bloch_spec, capsys):
+        self._fails(["global", "--family", bloch_spec], capsys, "bloch_rotation")
+
+    def test_missing_required_field(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "b.json", {"kind": "bloch_rotation", "theta": [0.0]})
+        self._fails(["fisher", "--family", spec], capsys, "'r'", "bloch_rotation")
+
+    def test_surplus_theta_component(self, bloch_spec, tmp_path, capsys):
+        spec = write_json(tmp_path / "b.json", {"kind": "bloch_rotation", "r": 0.5, "theta": [0.1, 0.2]})
+        self._fails(["fisher", "--family", spec], capsys, "theta", "2 components")
+        self._fails(["reverse", "--family", bloch_spec, "--theta", "0.1,0.2"], capsys, "theta")
+
+    def test_multiparameter_km_reported(self, tmp_path):
+        spec = write_json(tmp_path / "e.json", {
+            "kind": "explicit",
+            "rho": [[0.7, 0.1], [0.1, 0.3]],
+            "tangents": [[[0.5, 0.0], [0.0, -0.5]], [[0.0, 0.2], [0.2, 0.0]]],
+        })
+        out = tmp_path / "r.json"
+        assert cli.main(["fisher", "--family", spec, "--out", str(out)]) == 0
+        res = json.loads(out.read_text())["results"]
+        km = np.array(res["km_fisher"]["real_part"])
+        assert km.shape == (2, 2)
+        assert np.all(np.diag(km) >= np.diag(np.array(res["sld_fisher"]["real_part"])) - 1e-12)

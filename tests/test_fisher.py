@@ -18,13 +18,14 @@ from qig.fisher import (
     QFisherMatrix,
     classical_fisher,
     finite_difference_tangents,
+    km_fisher,
     rld,
     rld_fisher,
     rld_imag_diagnostic,
     sld,
     sld_fisher,
 )
-from qig.linalg import frob
+from qig.linalg import SUPPORT_TOL, frob
 from qig.states import DensityMatrix, FamilyPoint
 
 
@@ -132,6 +133,64 @@ class TestRldFisher:
         for seed in range(30):
             pt = random_family_point(3, 2, seed)
             assert rld_fisher(pt).min_eigenvalue() >= -1e-10
+
+
+class TestMetricKernel:
+    """The eigenbasis kernel against the defining traces, and the KM sandwich."""
+
+    def test_sld_and_rld_match_defining_traces(self):
+        rng = np.random.default_rng(31)
+        for dim in (2, 3, 5):
+            for _ in range(10):
+                pt = random_family_point(dim, 2, rng)
+                rho = pt.rho.mat
+                ls = [sld(pt.rho, x) for x in pt.tangents]
+                lr = [rld(pt.rho, x) for x in pt.tangents]
+                js = np.array([[np.trace(rho @ a @ b).real for b in ls] for a in ls])
+                jr = np.array([[np.trace(rho @ b.conj().T @ a) for b in lr] for a in lr])
+                assert frob(sld_fisher(pt).real_part - js) <= 1e-12 * frob(js)
+                assert frob(rld_fisher(pt).as_complex() - jr) <= 1e-12 * frob(jr)
+
+    def test_km_between_sld_and_rld_in_loewner_order(self):
+        rng = np.random.default_rng(32)
+        for dim in (2, 3, 5):
+            for _ in range(20):
+                pt = random_family_point(dim, 2, rng)
+                js, jkm = sld_fisher(pt).real_part, km_fisher(pt).real_part
+                # as metrics on real tangent vectors: c^T J^R c = c^T Re J^R c
+                jr = rld_fisher(pt).real_part
+                assert np.linalg.eigvalsh(jkm - js)[0] >= -1e-10
+                assert np.linalg.eigvalsh(jr - jkm)[0] >= -1e-10
+
+    def test_sld_and_km_rank_deficient_rejected(self):
+        # the tangent stays in the support, so only the kernels' log / 1/(a+b) fail
+        pt = FamilyPoint([0.0], DensityMatrix(np.diag([0.4, 0.6, 0.0])), [np.diag([0.1, -0.1, 0.0])])
+        for metric in (sld_fisher, km_fisher):
+            with pytest.raises(RankDeficiencyError):
+                metric(pt)
+
+    def test_rld_fisher_rank_deficient_on_support(self):
+        # tangent inside the support of a rank-2 qutrit state: J^R = Tr X rho^+ X
+        rho = DensityMatrix(np.diag([0.4, 0.6, 0.0]))
+        x = np.diag([0.1, -0.1, 0.0]).astype(complex)
+        jr = rld_fisher(FamilyPoint([0.0], rho, [x])).scalar
+        assert jr == pytest.approx(0.01 / 0.4 + 0.01 / 0.6, rel=1e-12)
+
+    def test_out_of_support_threshold(self):
+        # one constant decides both the RLD refusal and the divergence's inf
+        from qig.divergence import umegaki
+
+        rho = DensityMatrix(np.diag([1.0, 0.0]))
+        for scale, refused in ((0.5, False), (2.0, True)):
+            eps = scale * SUPPORT_TOL / np.sqrt(2)  # ||X - PXP||_F = scale * SUPPORT_TOL
+            x = np.array([[10.0, eps], [eps, 0.0]], dtype=complex)
+            if refused:
+                with pytest.raises(RldExistenceError):
+                    rld(rho, x)
+            else:
+                rld(rho, x)
+            leaky = DensityMatrix(np.array([[1.0 - 2 * eps**2, eps], [eps, 2 * eps**2]]))
+            assert np.isinf(umegaki(leaky, rho)) == refused
 
 
 class TestClassicalFisher:

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
+from qig.channels import random_family_point
 from qig.errors import TruncationError
 from qig.families import bloch_rotation_point
-from qig.fisher import classical_fisher, ClassicalFamilyPoint, rld_fisher
+from qig.fisher import classical_fisher, ClassicalFamilyPoint, km_fisher, rld_fisher
 from qig.harness import (
     COHERENT_CONVENTION,
     GaussianSpec,
     gaussian_check,
     gaussian_closed_form,
     gaussian_family,
-    km_fisher,
     monotone_divergence_suite,
     monotone_metric_suite,
 )
@@ -34,19 +34,21 @@ class TestKmFisher:
         pt = FamilyPoint([0.0], DensityMatrix(0.5 * np.eye(2)), [np.zeros((2, 2))])
         assert km_fisher(pt).scalar == pytest.approx(0.0, abs=1e-14)
 
-    def test_multiparameter_rejected(self):
-        pt = FamilyPoint(
-            [0.0, 0.0], DensityMatrix(0.5 * np.eye(2)), [np.zeros((2, 2))] * 2
-        )
-        with pytest.raises(ValueError):
-            km_fisher(pt)
+    def test_multiparameter_matches_scalar_km(self):
+        rng = np.random.default_rng(33)
+        for dim in (2, 3, 5):
+            pt = random_family_point(dim, 3, rng)
+            diag = np.diag(km_fisher(pt).real_part)
+            scalars = [km_fisher(FamilyPoint([0.0], pt.rho, [x])).scalar for x in pt.tangents]
+            assert diag == pytest.approx(scalars, rel=1e-12)
 
 
 class TestMetricSuite:
-    def test_empty_run_passes(self):
-        rep = monotone_metric_suite(0, (2,), 1)
-        assert rep.passed
-        assert rep.slack_range == {}
+    def test_vacuous_run_rejected(self):
+        for suite in (monotone_metric_suite, monotone_divergence_suite):
+            for trials, dims in ((0, (2,)), (1, (1,)), (1, (2, 1)), (1, ())):
+                with pytest.raises(ValueError):
+                    suite(trials, dims, 1)
 
     def test_default_acceptance_run(self):
         rep = monotone_metric_suite(200, (2, 3), 42)

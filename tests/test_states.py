@@ -204,6 +204,22 @@ class TestReverseSld:
         with pytest.raises(RankDeficiencyError):
             reverse_sld(w, 0.5 * PAULI_Z)
 
+    def test_widened_gauge_residual_and_minimum_norm(self):
+        from qig.fisher import rld
+
+        rng = np.random.default_rng(45)
+        for _ in range(50):
+            dim = int(rng.integers(2, 5))
+            rho = random_density(dim, rng)
+            u = random_coisometry(dim, dim + int(rng.integers(1, 4)), rng)
+            wu = gauge_transform(canonical_amplitude(rho), u)
+            x = random_hermitian_traceless(dim, rng)
+            a = reverse_sld(wu, x)
+            assert frob(rld(rho, x) @ wu.w - wu.w @ a) <= 1e-12
+            # no component on ker W: A = Q A Q with Q the projector onto range W^dag
+            q = np.linalg.pinv(wu.w) @ wu.w
+            assert frob(a - q @ a @ q) <= 1e-12 * max(1.0, frob(a))
+
 
 class TestDualityGap:
     def test_canonical_gauge_zero_gap(self):
