@@ -14,6 +14,7 @@ precision report document is written to --out, or to a sidecar
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import sys
@@ -85,15 +86,18 @@ def _report_path(args, primary_input: str | None, subcommand: str) -> Path:
 
 
 def _write_report(path: Path, command, seed, spec_echo, results) -> None:
+    echo = json.dumps(io._jsonable(spec_echo), sort_keys=True, separators=(",", ":"))  # as io.spec_digest
     doc = {
         "command": command,
         "version": __version__,
         "seed": seed,
-        "spec_echo": io._jsonable(spec_echo),
-        "input_digest": io.spec_digest(spec_echo) if spec_echo is not None else None,
+        "spec_echo": None,
+        "input_digest": hashlib.sha256(echo.encode()).hexdigest() if spec_echo is not None else None,
         "results": io._jsonable(results),
     }
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    # the echo is serialized once, in canonical form: hashed above, embedded here
+    text = json.dumps(doc, indent=2).replace('"spec_echo": null', f'"spec_echo": {echo}', 1)
+    path.write_text(text + "\n", encoding="utf-8")
     print(f"report written to {path}")
 
 
@@ -215,8 +219,8 @@ def _cmd_divergence(args) -> int:
         "integral_minus_closed": di - dr, "steps": args.steps, "two_point_kl": tkl,
         "tolerances": {"integral_vs_closed": 1e-5, "two_point_equality": 1e-9},
     }
-    spec_echo = {"rho": io.encode_matrix(rho.mat), "sigma": io.encode_matrix(sigma.mat)}
-    _write_report(_report_path(args, args.rho, "divergence"), sys.argv[1:], _resolve_seed(args), spec_echo, results)
+    _write_report(_report_path(args, args.rho, "divergence"), sys.argv[1:], _resolve_seed(args),
+                  {"rho": rho.mat, "sigma": sigma.mat}, results)
     return 0
 
 
@@ -317,16 +321,14 @@ _DISPATCH = {
     "bound": _cmd_bound,
     "gaussian": _cmd_gaussian,
 }
+_PARSER = build_parser()  # built once; parse_args keeps no state between calls
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _DISPATCH[args.cmd](args)
-    except QigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (QigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -76,46 +76,60 @@ def build_family(spec: dict):
     """Build family point(s) from a parsed spec dict (see the file format docs).
 
     Returns a FamilyPoint, or a list of FamilyPoint for grid kinds.  A
-    missing required field or a theta of the wrong length raises
-    SpecFileError.
+    missing required field, a field of the wrong type or shape, or a
+    theta of the wrong length raises SpecFileError naming the field.
     """
     kind = spec.get("kind")
 
-    def field(name):
+    def field(name, dtype=None, ndim=None, default=None):
+        """spec[name], required unless a default is given; with a dtype, a finite array of ndim axes."""
         if name not in spec:
-            raise SpecFileError(f"{kind} spec: missing required field {name!r}")
-        return spec[name]
+            if default is None:
+                raise SpecFileError(f"{kind} spec: missing required field {name!r}")
+            return default
+        if dtype is None:
+            return spec[name]
+        try:
+            value = np.asarray(spec[name], dtype=dtype)
+        except (TypeError, ValueError) as exc:
+            raise SpecFileError(f"{kind} spec: field {name!r}: {exc}") from None
+        if ndim is not None and value.ndim != ndim:
+            raise SpecFileError(f"{kind} spec: field {name!r} must have {ndim} axes, got {value.ndim}")
+        if not np.all(np.isfinite(value)):
+            raise SpecFileError(f"{kind} spec: field {name!r} has a null or non-finite entry")
+        return value
 
     def theta(m):
-        th = np.atleast_1d(np.asarray(spec.get("theta", np.zeros(m)), dtype=float))
+        th = np.atleast_1d(field("theta", float, default=np.zeros(m)))
         if th.shape != (m,):
             raise SpecFileError(f"{kind} spec: theta has {th.size} components, expected {m}")
         return th
 
-    deriv = spec.get("derivative", {"mode": "analytic"})
+    deriv = field("derivative", default={"mode": "analytic"})
+    if not isinstance(deriv, dict):
+        raise SpecFileError(f"{kind} spec: field 'derivative' must be an object")
     if kind == "explicit":
-        rho = DensityMatrix(np.asarray(field("rho"), dtype=complex))
-        tangents = [np.asarray(t, dtype=complex) for t in field("tangents")]
+        rho = DensityMatrix(field("rho", complex, 2))
+        tangents = list(field("tangents", complex, 3))
         return FamilyPoint(theta(len(tangents)), rho, tangents)
     if kind == "bloch_rotation":
         step = deriv.get("step") if deriv.get("mode") == "finite_difference" else None
-        return bloch_rotation_point(float(field("r")), float(theta(1)[0]), fd_step=step)
+        return bloch_rotation_point(float(field("r", float, 0)), float(theta(1)[0]), fd_step=step)
     if kind == "classical_simplex":
-        return classical_simplex_point(field("probs"), field("scores"), spec.get("theta"))
+        scores = np.atleast_2d(field("scores", float))
+        return classical_simplex_point(field("probs", float, 1), scores, theta(scores.shape[0]))
     if kind == "fixed_basis":
-        basis = (
-            np.asarray(spec["basis"], dtype=complex)
-            if "basis" in spec
-            else np.eye(len(field("prob_table")[0]))
-        )
+        prob_table = field("prob_table", float, 2)
         return fixed_basis_family(
-            basis, field("prob_table"), field("theta_grid"), spec.get("score_table")
+            field("basis", complex, 2, default=np.eye(prob_table.shape[1])),
+            prob_table, field("theta_grid", float, 1),
+            field("score_table", float, 2) if "score_table" in spec else None,
         )
     if kind == "gaussian":
         gspec = GaussianSpec(
-            sigma2=float(spec.get("sigma2", 1.0)),
-            hbar=float(spec.get("hbar", 1.0)),
-            truncation=int(spec.get("truncation", 80)),
+            sigma2=float(field("sigma2", float, 0, default=1.0)),
+            hbar=float(field("hbar", float, 0, default=1.0)),
+            truncation=int(field("truncation", int, 0, default=80)),
             theta=tuple(theta(2).tolist()),
         )
         return gaussian_family(gspec)

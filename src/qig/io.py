@@ -22,8 +22,8 @@ def encode_complex(z) -> list:
 def encode_matrix(mat) -> list:
     mat = np.atleast_2d(np.asarray(mat))
     if np.iscomplexobj(mat) and np.max(np.abs(mat.imag), initial=0.0) > 0.0:
-        return [[encode_complex(z) for z in row] for row in mat]
-    return [[float(x) for x in row] for row in mat.real]
+        return np.stack([mat.real, mat.imag], -1).astype(float).tolist()
+    return mat.real.astype(float).tolist()
 
 
 def decode_entry(e) -> complex:
@@ -37,7 +37,15 @@ def decode_entry(e) -> complex:
 def decode_matrix(obj) -> np.ndarray:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise SpecFileError(f"cannot decode matrix: expected a list of rows, got {type(obj).__name__}")
-    mat = np.array([[decode_entry(e) for e in row] for row in obj])
+    try:  # fast path: all bare numbers, or all [re, im] pairs
+        arr = np.asarray(obj)
+        fast = arr.dtype.kind in "biuf" and (arr.ndim == 2 or arr.shape[2:] == (2,))
+    except ValueError:  # ragged rows, or numbers mixed with pairs
+        fast = False
+    if fast:
+        mat = arr.astype(complex) if arr.ndim == 2 else np.asarray(arr, dtype=float).view(complex)[..., 0]
+    else:  # per entry, so a bad entry is named
+        mat = np.array([[decode_entry(e) for e in row] for row in obj])
     if np.max(np.abs(mat.imag), initial=0.0) == 0.0:
         return mat.real.astype(complex)
     return mat
@@ -93,7 +101,7 @@ def load_family_spec(path) -> dict:
     out = dict(spec)
     if "rho" in out:
         out["rho"] = decode_matrix(out["rho"])
-    if "tangents" in out:
+    if isinstance(out.get("tangents"), list):  # anything else is refused by name in build_family
         out["tangents"] = [decode_matrix(t) for t in out["tangents"]]
     if "basis" in out:
         out["basis"] = decode_matrix(out["basis"])

@@ -233,9 +233,9 @@ def restricted_input_fisher(gre: GlobalReverseEstimate, point: FamilyPoint, poin
     rm = rho0.func(("power", -0.5))
     u = gre.basis
     cw = gre.base_weights
-    k = next(
-        i for i, pt in enumerate(points) if np.array_equal(pt.theta, point.theta)
-    )
+    k = next((i for i, pt in enumerate(points) if np.array_equal(pt.theta, point.theta)), None)
+    if k is None:
+        raise DimensionMismatchError(f"theta = {point.theta.tolist()} is not a point of the grid")
     p = gre.distributions[k]
     scores = np.array(
         [np.real(np.einsum("xi,ij,jx->x", u.conj().T, rm @ x @ rm, u)) * cw for x in point.tangents]

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -32,6 +33,19 @@ def explicit_spec(tmp_path):
 
 
 @pytest.fixture
+def complex16_spec(tmp_path):
+    """Seeded d = 16 state and tangent, every entry a [re, im] pair."""
+    rng = np.random.default_rng(16)
+    g = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    x = g + g.conj().T
+    x -= np.trace(x) / 16 * np.eye(16)
+    pairs = [np.stack([m.real, m.imag], -1).tolist() for m in (rho, x)]
+    return write_json(tmp_path / "c16.json", {"kind": "explicit", "rho": pairs[0], "tangents": [pairs[1]]})
+
+
+@pytest.fixture
 def qubit_pair(tmp_path):
     rho = write_json(tmp_path / "rho.json", {"rho": [[0.7, 0.1], [0.1, 0.3]]})
     sigma = write_json(tmp_path / "sigma.json", {"rho": [[0.5, 0.0], [0.0, 0.5]]})
@@ -58,6 +72,17 @@ class TestFisherCommand:
         echo_file.write_text(json.dumps(doc["spec_echo"]))
         reparsed = io.load_family_spec(str(echo_file))
         assert io.spec_digest(reparsed) == doc["input_digest"]
+
+    @pytest.mark.parametrize("spec, digest", [
+        ("explicit_spec", "0588e216ae7bf540f73cf2a8fa43ab31580a68d83d989c842486ec027dbb523d"),
+        ("complex16_spec", "cdbb48a6fc9e43d2fe124f7f6b44ff8f3a180dab51f4073934bda74fbdbbdcfc"),
+    ])
+    def test_input_digest_pinned(self, spec, digest, tmp_path, request):
+        out = tmp_path / "report.json"
+        assert cli.main(["fisher", "--family", request.getfixturevalue(spec), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["input_digest"] == digest
+        assert io.spec_digest(doc["spec_echo"]) == digest
 
     def test_determinism(self, bloch_spec, tmp_path):
         outs = []
@@ -264,6 +289,16 @@ class TestSpecErrors:
         self._fails(["fisher", "--family", spec], capsys, "theta", "2 components")
         self._fails(["reverse", "--family", bloch_spec, "--theta", "0.1,0.2"], capsys, "theta")
 
+    @pytest.mark.parametrize("cmd, spec, name", [
+        ("fisher", {"kind": "bloch_rotation", "r": "x"}, "r"),
+        ("fisher", {"kind": "explicit", "rho": [[0.9, 0.0], [0.0, 0.1]],
+                    "tangents": [[[0.0, 0.5], [0.5, 0.0]]], "theta": ["a"]}, "theta"),
+        ("global", {"kind": "fixed_basis", "prob_table": "x", "theta_grid": [0.2, 0.8]}, "prob_table"),
+    ])
+    def test_wrong_field_type_named(self, cmd, spec, name, tmp_path, capsys):
+        path = write_json(tmp_path / "s.json", spec)
+        self._fails([cmd, "--family", path], capsys, spec["kind"], repr(name))
+
     def test_multiparameter_km_reported(self, tmp_path):
         spec = write_json(tmp_path / "e.json", {
             "kind": "explicit",
@@ -276,3 +311,78 @@ class TestSpecErrors:
         km = np.array(res["km_fisher"]["real_part"])
         assert km.shape == (2, 2)
         assert np.all(np.diag(km) >= np.diag(np.array(res["sld_fisher"]["real_part"])) - 1e-12)
+
+
+class TestSpecFuzz:
+    """Seeded mutations of valid specs: every command exits 0, 1 or 2, never with a traceback."""
+
+    BASES = [
+        {
+            "kind": "explicit",
+            "rho": [[0.7, [0.1, 0.05]], [[0.1, -0.05], 0.3]],
+            "tangents": [[[0.5, [0.0, 0.2]], [[0.0, -0.2], -0.5]]],
+            "theta": [0.0],
+        },
+        {"kind": "bloch_rotation", "r": 0.6, "theta": [0.2],
+         "derivative": {"mode": "finite_difference", "step": 1e-4}},
+        {
+            "kind": "fixed_basis",
+            "basis": [[0.6, 0.8], [0.8, -0.6]],
+            "prob_table": [[0.3, 0.7], [0.5, 0.5], [0.6, 0.4]],
+            "theta_grid": [0.0, 0.5, 1.0],
+        },
+    ]
+    BAD_ENTRIES = ["x", None, [1.0, 2.0, 3.0], [[0.5]]]
+    BAD_VALUES = ["x", None, 3, -1.5, True, [], {}, [1.0, 2.0, 3.0], [["x"]], [[0.5, 0.5]]]
+
+    @staticmethod
+    def _paths(obj, path=()):
+        """Index paths of everything nested in obj: rows, entries, [re, im] parts."""
+        if path:
+            yield path
+        if isinstance(obj, list):
+            for i, v in enumerate(obj):
+                yield from TestSpecFuzz._paths(v, (*path, i))
+
+    def _mutations(self, n, seed=2026):
+        """(description, file text) of n seeded mutations, cycling over BASES."""
+        rng = np.random.default_rng(seed)
+
+        def pick(seq):
+            return seq[rng.integers(len(seq))]
+
+        for k in range(n):
+            spec = copy.deepcopy(self.BASES[k % len(self.BASES)])
+            how = pick(["entry", "drop", "type", "truncate"])
+            if how == "entry":
+                key = pick([name for name, value in spec.items() if isinstance(value, list)])
+                *head, last = pick(list(self._paths(spec[key])))
+                parent = spec[key]
+                for i in head:
+                    parent = parent[i]
+                parent[last] = pick(self.BAD_ENTRIES)
+                yield f"{key}{[*head, last]} = {parent[last]!r}", json.dumps(spec)
+            elif how == "drop":
+                key = pick(list(spec))
+                del spec[key]
+                yield f"drop {key}", json.dumps(spec)
+            elif how == "type":
+                key = pick(list(spec))
+                spec[key] = pick(self.BAD_VALUES)
+                yield f"{key} = {spec[key]!r}", json.dumps(spec)
+            else:
+                text = json.dumps(spec)
+                yield "truncated", text[: rng.integers(len(text))]
+
+    def test_mutated_specs_exit_cleanly(self, tmp_path, capsys):
+        path, out = tmp_path / "spec.json", str(tmp_path / "r.json")
+        for desc, text in self._mutations(200):
+            path.write_text(text, encoding="utf-8")
+            for cmd in ("fisher", "reverse", "global", "bound"):
+                try:
+                    rc = cli.main([cmd, "--family", str(path), "--out", out])
+                except Exception as exc:  # noqa: BLE001 (the assertion under test)
+                    pytest.fail(f"qig {cmd} on {desc}: {exc!r}")
+                err = capsys.readouterr().err
+                assert rc in (0, 1, 2), (cmd, desc, rc)
+                assert rc != 1 or err.startswith("error:"), (cmd, desc, err)

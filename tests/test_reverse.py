@@ -6,6 +6,7 @@ import pytest
 from qig.channels import Ensemble, child_rng, random_family_point
 from qig.errors import (
     ConvergenceError,
+    DimensionMismatchError,
     InvalidCandidateError,
     NotReverseEstimableError,
     RankDeficiencyError,
@@ -185,6 +186,15 @@ class TestGlobalReverseEstimation:
             jin = restricted_input_fisher(gre, pt, points).scalar
             jr = rld_fisher(pt).scalar
             assert abs(jin - jr) <= 1e-7 * max(1.0, jr)
+
+    def test_off_grid_point_named(self):
+        points = classical_grid()
+        gre = global_reverse_estimate(points, 0, seed=0)
+        pt = points[1]  # theta = -0.5, moved off the grid by 0.05
+        off = fixed_basis_family(np.eye(3), [np.diag(pt.rho.mat).real], [pt.theta[0] + 0.05],
+                                 [np.diag(pt.tangents[0]).real])[0]
+        with pytest.raises(DimensionMismatchError, match=r"theta = \[-0\.45\]"):
+            restricted_input_fisher(gre, off, points)
 
     def test_single_point_trivially_commutes(self):
         points = [bloch_rotation_point(0.8, 0.0)]
