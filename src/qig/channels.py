@@ -1,4 +1,8 @@
-"""POVMs, Kraus channels, QC/CQ maps and seeded random instances."""
+"""POVMs, Kraus channels, QC/CQ maps and seeded random instances.
+
+POVM elements and Kraus operators may be (..., d, d) stacks, one member
+per instance, as may the states and tangents the maps act on.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +12,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .fisher import ClassicalFamilyPoint
-from .linalg import frob, herm, matrix_function
+from .linalg import frob_each, herm, matrix_function
 from .states import DensityMatrix, FamilyPoint
 
 
@@ -17,20 +21,17 @@ class POVM:
     elements: list[np.ndarray]
 
     def __post_init__(self):
-        elements = [herm(np.asarray(e, dtype=complex)) for e in self.elements]
-        d = elements[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        for e in elements:
-            if np.min(np.linalg.eigvalsh(e)) < -1e-10:
-                raise ValueError("POVM element is not PSD")
-            total += e
-        if frob(total - np.eye(d)) > 1e-10:
-            raise ValueError(f"POVM elements sum to identity residual {frob(total - np.eye(d)):.3e}")
-        self.elements = elements
+        elements = herm(np.asarray(self.elements, dtype=complex))
+        if np.min(np.linalg.eigvalsh(elements)) < -1e-10:
+            raise ValueError("POVM element is not PSD")
+        res = np.max(frob_each(elements.sum(axis=0) - np.eye(elements.shape[-1])))
+        if res > 1e-10:
+            raise ValueError(f"POVM elements sum to identity residual {res:.3e}")
+        self.elements = list(elements)
 
     @property
     def dim(self) -> int:
-        return self.elements[0].shape[0]
+        return self.elements[0].shape[-1]
 
 
 @dataclass(eq=False)
@@ -38,58 +39,56 @@ class KrausChannel:
     kraus_ops: list[np.ndarray]
 
     def __post_init__(self):
-        ops = [np.asarray(k, dtype=complex) for k in self.kraus_ops]
-        d_in = ops[0].shape[1]
-        total = sum(k.conj().T @ k for k in ops)
-        res = frob(total - np.eye(d_in))
+        ops = np.asarray(self.kraus_ops, dtype=complex)
+        res = np.max(frob_each((ops.conj().swapaxes(-1, -2) @ ops).sum(axis=0) - np.eye(ops.shape[-1])))
         if res > 1e-10:
             raise ValueError(f"channel is not trace preserving: residual {res:.3e}")
-        self.kraus_ops = ops
+        self.kraus_ops = list(ops)
 
     def apply(self, mat: np.ndarray) -> np.ndarray:
-        return sum(k @ mat @ k.conj().T for k in self.kraus_ops)
+        ops = np.asarray(self.kraus_ops)
+        return (ops @ mat @ ops.conj().swapaxes(-1, -2)).sum(axis=0)
 
 
 @dataclass(eq=False)
 class Ensemble:
     """Weighted ensemble {(p(x), |phi_x>)} of unit vectors, stored as the rows of `states`."""
 
-    weights: np.ndarray
-    states: np.ndarray  # (n, d)
+    weights: np.ndarray  # (..., n)
+    states: np.ndarray  # (..., n, d)
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float)
-        if abs(self.weights.sum() - 1.0) > 1e-12 or np.any(self.weights < -1e-14):
+        if np.max(np.abs(self.weights.sum(axis=-1) - 1.0)) > 1e-12 or np.any(self.weights < -1e-14):
             raise ValueError("ensemble weights must be nonnegative and sum to 1")
-        self.states = np.asarray(self.states, dtype=complex).reshape(len(self.states), -1)
-        if np.any(np.abs(np.linalg.norm(self.states, axis=1) - 1.0) > 1e-12):
+        states = np.asarray(self.states, dtype=complex)
+        self.states = states.reshape(*states.shape[:self.weights.ndim], -1)
+        if np.any(np.abs(np.linalg.norm(self.states, axis=-1) - 1.0) > 1e-12):
             raise ValueError("ensemble states must be unit vectors")
 
     @classmethod
     def from_columns(cls, cols: np.ndarray) -> "Ensemble":
-        """The normalized columns of `cols`, weighted by their squared norms."""
-        p = np.clip(np.sum(np.abs(cols) ** 2, axis=0), 1e-300, None)
-        return cls(p / p.sum(), (cols / np.sqrt(p)).T)
+        """The normalized columns of `cols` (or of each stack member), weighted by their squared norms."""
+        p = np.clip(np.sum(np.abs(cols) ** 2, axis=-2), 1e-300, None)
+        return cls(p / p.sum(axis=-1, keepdims=True), (cols / np.sqrt(p)[..., None, :]).swapaxes(-1, -2))
 
     @property
     def size(self) -> int:
-        return len(self.states)
+        return self.states.shape[-2]
 
     def mix(self, c) -> np.ndarray:
         """sum_x c_x |phi_x><phi_x|, e.g. the average state for c = weights."""
-        return herm((self.states.T * c) @ self.states.conj())
+        return herm((self.states.swapaxes(-1, -2) * np.expand_dims(c, -2)) @ self.states.conj())
 
 
 def measure(point: FamilyPoint, povm: POVM) -> ClassicalFamilyPoint:
     """QC map: outcome probabilities Tr rho M and scores Tr (d_i rho) M."""
     if povm.dim != point.dim:
         raise DimensionMismatchError(f"POVM dim {povm.dim} vs state dim {point.dim}")
-    probs = np.array([np.trace(point.rho.mat @ e).real for e in povm.elements])
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    scores = np.array(
-        [[np.trace(x @ e).real for e in povm.elements] for x in point.tangents]
-    )
+    elements = np.asarray(povm.elements)
+    probs = np.clip(np.einsum("...ab,k...ba->...k", point.rho.mat, elements).real, 0.0, None)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    scores = np.einsum("i...ab,k...ba->...ik", np.asarray(point.tangents), elements).real
     return ClassicalFamilyPoint(point.theta, probs, scores)
 
 
@@ -101,12 +100,12 @@ def optimal_sld_povm(point: FamilyPoint) -> POVM:
         raise ValueError("optimal SLD measurement is defined for 1-dim families")
     l = sld(point.rho, point.tangents[0])
     _, u = np.linalg.eigh(l)
-    return POVM([np.outer(u[:, k], u[:, k].conj()) for k in range(point.dim)])
+    return POVM([u[..., :, k, None] * u[..., None, :, k].conj() for k in range(point.dim)])
 
 
 def apply_channel(point: FamilyPoint, ch: KrausChannel) -> FamilyPoint:
     """Image family under a CPT map: rho and tangents pushed through the channel."""
-    if ch.kraus_ops[0].shape[1] != point.dim:
+    if ch.kraus_ops[0].shape[-1] != point.dim:
         raise DimensionMismatchError("channel input dimension mismatch")
     rho = DensityMatrix(ch.apply(point.rho.mat))
     tangents = [herm(ch.apply(x)) for x in point.tangents]
@@ -136,75 +135,82 @@ def _as_rng(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
-def random_unitary(dim: int, seed=0) -> np.ndarray:
-    rng = _as_rng(seed)
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+def ginibre(rng: np.random.Generator, k: int, dim: int) -> np.ndarray:
+    """Draw step of every generator: k complex Ginibre (dim, dim) matrices, each real part drawn first."""
+    z = rng.normal(size=(k, 2, dim, dim))
+    return z[:, 0] + 1j * z[:, 1]
+
+
+# Build steps: each maps Ginibre draws, or a (n, ...) stack of them, to its instance.
+
+
+def unitary_from(g: np.ndarray) -> np.ndarray:
     q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    dr = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (dr / np.abs(dr))[..., None, :]
 
 
-def random_density(dim: int, seed=0) -> DensityMatrix:
-    """Full-rank random state: Ginibre mixed with I/d at weight 0.02 min(d, 49).
+def density_from(g: np.ndarray) -> DensityMatrix:
+    """Ginibre mixed with I/d at weight 0.02 min(d, 49).
 
     Every eigenvalue is >= 0.02 for d < 50 and >= 0.98/d beyond; the
     Ginibre part keeps weight >= 0.02, so the state is never I/d.
     """
-    rng = _as_rng(seed)
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
+    dim = g.shape[-1]
+    rho = g @ g.conj().swapaxes(-1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
     t = FULL_RANK_FLOOR * min(dim, 49)
-    rho = (1.0 - t) * rho + t * np.eye(dim) / dim
-    return DensityMatrix(herm(rho))
+    return DensityMatrix(herm((1.0 - t) * rho + t * np.eye(dim) / dim))
+
+
+def traceless_from(g: np.ndarray) -> np.ndarray:
+    """Unit-norm traceless Hermitian part of g."""
+    dim = g.shape[-1]
+    x = herm(g)
+    x -= (np.trace(x, axis1=-2, axis2=-1) / dim)[..., None, None] * np.eye(dim)
+    return x / np.maximum(frob_each(x), 1e-15)[..., None, None]
+
+
+def family_point_from(g: np.ndarray) -> FamilyPoint:
+    """rho from g[..., 0, :, :] and one tangent from each further draw."""
+    m = g.shape[-3] - 1
+    return FamilyPoint(np.zeros(m), density_from(g[..., 0, :, :]),
+                       [traceless_from(g[..., 1 + i, :, :]) for i in range(m)])
+
+
+def kraus_from(g: np.ndarray, dim: int) -> KrausChannel:
+    """Channel from the Stinespring isometry: the first dim columns of a random unitary."""
+    iso = unitary_from(g)[..., :dim]
+    return KrausChannel([iso[..., e * dim:(e + 1) * dim, :] for e in range(g.shape[-1] // dim)])
+
+
+def povm_from(g: np.ndarray) -> POVM:
+    """Elements S G_k G_k^dag S with S = (sum_k G_k G_k^dag)^(-1/2), from g[..., k, :, :]."""
+    raw = g @ g.conj().swapaxes(-1, -2)
+    s = matrix_function(herm(raw.sum(axis=-3)), ("power", -0.5))[..., None, :, :]
+    return POVM(list(np.moveaxis(herm(s @ raw @ s), -3, 0)))
+
+
+def random_unitary(dim: int, seed=0) -> np.ndarray:
+    return unitary_from(ginibre(_as_rng(seed), 1, dim)[0])
+
+
+def random_density(dim: int, seed=0) -> DensityMatrix:
+    """Full-rank random state (see density_from for its eigenvalue floors)."""
+    return density_from(ginibre(_as_rng(seed), 1, dim)[0])
 
 
 def random_hermitian_traceless(dim: int, seed=0) -> np.ndarray:
-    rng = _as_rng(seed)
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    x = herm(g)
-    x -= (np.trace(x) / dim) * np.eye(dim)
-    return x / max(frob(x), 1e-15)
+    return traceless_from(ginibre(_as_rng(seed), 1, dim)[0])
 
 
 def random_family_point(dim: int, m: int = 1, seed=0) -> FamilyPoint:
-    rng = _as_rng(seed)
-    rho = random_density(dim, rng)
-    tangents = [random_hermitian_traceless(dim, rng) for _ in range(m)]
-    return FamilyPoint(np.zeros(m), rho, tangents)
+    return family_point_from(ginibre(_as_rng(seed), 1 + m, dim))
 
 
 def random_kraus(dim: int, seed=0, n_kraus: int = 2) -> KrausChannel:
-    """Channel from a Stinespring isometry built out of a random unitary."""
-    rng = _as_rng(seed)
-    u = random_unitary(dim * n_kraus, rng)
-    iso = u[:, :dim]  # columns: isometry (d*k) x d
-    ops = [iso[e * dim:(e + 1) * dim, :] for e in range(n_kraus)]
-    return KrausChannel(ops)
+    return kraus_from(ginibre(_as_rng(seed), 1, dim * n_kraus)[0], dim)
 
 
 def random_povm(dim: int, n_outcomes: int = 3, seed=0) -> POVM:
-    rng = _as_rng(seed)
-    raw = []
-    for _ in range(n_outcomes):
-        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        raw.append(g @ g.conj().T)
-    total = herm(sum(raw))
-    s = matrix_function(total, ("power", -0.5))
-    return POVM([herm(s @ a @ s) for a in raw])
-
-
-def random_instance(kind: str, dim: int, m: int = 1, seed=0):
-    """Dispatcher over the random generators; deterministic given seed."""
-    if dim < 2:
-        raise ValueError("dim must be >= 2")
-    if kind == "density":
-        return random_density(dim, seed)
-    if kind == "family_point":
-        return random_family_point(dim, m, seed)
-    if kind == "kraus":
-        return random_kraus(dim, seed)
-    if kind == "povm":
-        return random_povm(dim, m if m >= 2 else 3, seed)
-    if kind == "unitary":
-        return random_unitary(dim, seed)
-    raise ValueError(f"unknown instance kind {kind!r}")
+    return povm_from(ginibre(_as_rng(seed), n_outcomes, dim))

@@ -2,6 +2,9 @@
 
 Support violations are signalled by returning math.inf (a distinguished
 value rather than an exception) so randomized suites can count them.
+kl, umegaki, rld_divergence and two_point_reverse_estimate also take
+stacks (of distributions or DensityMatrix members) and then give one
+value per member.
 """
 
 from __future__ import annotations
@@ -22,40 +25,41 @@ from .states import DensityMatrix, check_states
 INTEGRAL_BLOCK_ENTRIES = 1 << 18
 
 
+def _inf_where(off_support, value):
+    """value, inf where off_support: a float for one instance, an array for a stack."""
+    if np.ndim(value) == 0:
+        return math.inf if off_support else float(value)
+    return np.where(off_support, math.inf, value)
+
+
 def kl(p, q) -> float:
     """Kullback-Leibler divergence sum p ln(p/q) in nats; inf off-support."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     live = p > 1e-15
-    if np.any(q[live] <= 1e-300):
-        return math.inf
-    return float(np.sum(p[live] * (np.log(p[live]) - np.log(q[live]))))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(live, p * (np.log(np.where(live, p, 1.0)) - np.log(q)), 0.0)
+    return _inf_where(np.any(live & (q <= 1e-300), axis=-1), terms.sum(axis=-1))
 
 
-def _support_violation(rho: DensityMatrix, sigma: DensityMatrix, rank_tol: float) -> bool:
+def _support_violation(rho: DensityMatrix, sigma: DensityMatrix, rank_tol: float):
     return linalg.support_leak(rho.mat, *sigma.eig, rank_tol)[0] > linalg.SUPPORT_TOL
 
 
 def umegaki(rho: DensityMatrix, sigma: DensityMatrix, rank_tol: float = linalg.RANK_TOL) -> float:
     """Relative entropy Tr rho (log rho - log sigma), on supports, in nats."""
-    if _support_violation(rho, sigma, rank_tol):
-        return math.inf
-    w, _ = rho.eig
-    sup = w >= rank_tol * np.max(w)
-    ent = float(np.sum(w[sup] * np.log(w[sup])))
-    log_sigma = sigma.func("log", rank_tol)
-    return ent - float(np.trace(rho.mat @ log_sigma).real)
+    w = rho.eig.eigenvalues
+    log_w = np.log(np.where(linalg.support_mask(w, rank_tol) & (w > 0), w, 1.0))
+    value = (w * log_w).sum(axis=-1) - np.einsum("...ab,...ba->...", rho.mat, sigma.func("log", rank_tol)).real
+    return _inf_where(_support_violation(rho, sigma, rank_tol), value)
 
 
 def rld_divergence(rho: DensityMatrix, sigma: DensityMatrix, rank_tol: float = linalg.RANK_TOL) -> float:
     """Tr rho log(rho^(1/2) sigma^(-1) rho^(1/2)) with the log on supp rho."""
-    if _support_violation(rho, sigma, rank_tol):
-        return math.inf
     rp = rho.func("sqrt", rank_tol)
-    sig_inv = sigma.func("inverse", rank_tol)
-    t = herm(rp @ sig_inv @ rp)
-    log_t = linalg.matrix_function(t, "log", rank_tol)
-    return float(np.trace(rho.mat @ log_t).real)
+    t = herm(rp @ sigma.func("inverse", rank_tol) @ rp)
+    value = np.einsum("...ab,...ba->...", rho.mat, linalg.matrix_function(t, "log", rank_tol)).real
+    return _inf_where(_support_violation(rho, sigma, rank_tol), value)
 
 
 def rld_divergence_integral(
@@ -104,7 +108,7 @@ class TwoPointReverseEstimate:
     def __post_init__(self):
         self.p_rho = np.asarray(self.p_rho, dtype=float)
         self.p_sigma = np.asarray(self.p_sigma, dtype=float)
-        if self.p_rho.shape[0] != self.ensemble.size or self.p_sigma.shape[0] != self.ensemble.size:
+        if self.p_rho.shape[-1] != self.ensemble.size or self.p_sigma.shape[-1] != self.ensemble.size:
             raise ValueError("distribution length does not match ensemble size")
 
     def reconstruct(self, which: str) -> np.ndarray:
@@ -124,13 +128,10 @@ def two_point_reverse_estimate(rho: DensityMatrix, sigma: DensityMatrix) -> TwoP
     """
     if not sigma.is_full_rank():
         raise RankDeficiencyError("two-point reverse estimation requires full-rank sigma")
-    sm = sigma.func(("power", -0.5))
-    sp = sigma.func("sqrt")
-    t = herm(sm @ rho.mat @ sm)
-    d_x, u = np.linalg.eigh(t)
-    ens = Ensemble.from_columns(sp @ u)
+    d_x, u = np.linalg.eigh(sigma.whiten(rho.mat))
+    ens = Ensemble.from_columns(sigma.func("sqrt") @ u)
     p_rho = np.clip(d_x, 0.0, None) * ens.weights
-    return TwoPointReverseEstimate(ens, p_rho / p_rho.sum(), ens.weights)
+    return TwoPointReverseEstimate(ens, p_rho / p_rho.sum(axis=-1, keepdims=True), ens.weights)
 
 
 def split_two_point_estimate(

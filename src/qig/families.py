@@ -87,11 +87,13 @@ def build_family(spec: dict):
             if default is None:
                 raise SpecFileError(f"{kind} spec: missing required field {name!r}")
             return default
-        if dtype is None:
-            return spec[name]
+        return spec[name] if dtype is None else checked(name, spec[name], dtype, ndim)
+
+    def checked(name, value, dtype, ndim):
+        """value as a finite array of ndim axes, or SpecFileError naming the field."""
         try:
-            value = np.asarray(spec[name], dtype=dtype)
-        except (TypeError, ValueError) as exc:
+            value = np.asarray(value, dtype=dtype)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SpecFileError(f"{kind} spec: field {name!r}: {exc}") from None
         if ndim is not None and value.ndim != ndim:
             raise SpecFileError(f"{kind} spec: field {name!r} must have {ndim} axes, got {value.ndim}")
@@ -114,6 +116,10 @@ def build_family(spec: dict):
         return FamilyPoint(theta(len(tangents)), rho, tangents)
     if kind == "bloch_rotation":
         step = deriv.get("step") if deriv.get("mode") == "finite_difference" else None
+        if step is not None:
+            step = float(checked("derivative.step", step, float, 0))
+            if step <= 0:
+                raise SpecFileError(f"{kind} spec: field 'derivative.step' must be positive, got {step}")
         return bloch_rotation_point(float(field("r", float, 0)), float(theta(1)[0]), fd_step=step)
     if kind == "classical_simplex":
         scores = np.atleast_2d(field("scores", float))

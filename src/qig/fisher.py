@@ -4,7 +4,7 @@ The SLD solves drho = (L rho + rho L)/2 (Hermitian); the RLD solves
 drho = L rho (generally non-Hermitian, existing iff the tangent stays in
 the support of rho).  Matrix indices follow the convention
 J^R_ij = Tr rho L_j^dag L_i, which fixes the sign of the stored
-imaginary part.
+imaginary part.  A point holding (n, d, d) stacks gives (n, m, m) matrices.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .states import DensityMatrix, FamilyPoint
 
 @dataclass(eq=False)
 class QFisherMatrix:
-    """m x m Fisher matrix split into symmetric real and antisymmetric imag parts."""
+    """m x m Fisher matrix (or (..., m, m) stack) split into symmetric real and antisymmetric imag parts."""
 
     m: int
     real_part: np.ndarray
@@ -29,15 +29,15 @@ class QFisherMatrix:
     kind: str  # SLD | RLD | KM | classical | measured
 
     def __post_init__(self):
-        self.real_part = 0.5 * (self.real_part + self.real_part.T)
-        self.imag_part = 0.5 * (self.imag_part - self.imag_part.T)
+        self.real_part = 0.5 * (self.real_part + self.real_part.swapaxes(-1, -2))
+        self.imag_part = 0.5 * (self.imag_part - self.imag_part.swapaxes(-1, -2))
         if self.kind != "RLD" and frob(self.imag_part) > 1e-10 * max(1.0, frob(self.real_part)):
             raise ValueError(f"{self.kind} Fisher matrix must be real")
 
     @classmethod
     def from_complex(cls, j: np.ndarray, kind: str) -> "QFisherMatrix":
         j = np.asarray(j, dtype=complex)
-        return cls(j.shape[0], j.real.copy(), j.imag.copy(), kind)
+        return cls(j.shape[-1], j.real.copy(), j.imag.copy(), kind)
 
     def as_complex(self) -> np.ndarray:
         return self.real_part + 1j * self.imag_part
@@ -46,7 +46,8 @@ class QFisherMatrix:
     def scalar(self) -> float:
         if self.m != 1:
             raise ValueError("scalar access on a multi-parameter Fisher matrix")
-        return float(self.real_part[0, 0])
+        j = self.real_part[..., 0, 0]
+        return float(j) if j.ndim == 0 else j
 
     def min_eigenvalue(self) -> float:
         return float(np.min(np.linalg.eigvalsh(self.as_complex())))
@@ -54,11 +55,11 @@ class QFisherMatrix:
 
 @dataclass(eq=False)
 class ClassicalFamilyPoint:
-    """Probability vector with per-parameter score rows d_i p(x)."""
+    """Probability vector with per-parameter score rows d_i p(x); stacks lead both arrays."""
 
     theta: np.ndarray
-    probs: np.ndarray
-    scores: np.ndarray  # shape (m, n_outcomes)
+    probs: np.ndarray  # shape (..., n_outcomes)
+    scores: np.ndarray  # shape (..., m, n_outcomes)
 
     def __post_init__(self):
         self.theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
@@ -66,17 +67,17 @@ class ClassicalFamilyPoint:
         self.scores = np.atleast_2d(np.asarray(self.scores, dtype=float))
         if np.any(self.probs < -1e-12):
             raise ValueError("negative probability")
-        if abs(self.probs.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {self.probs.sum()!r}")
-        if self.scores.shape[1] != self.probs.shape[0]:
+        if np.max(np.abs(self.probs.sum(axis=-1) - 1.0)) > 1e-12:
+            raise ValueError(f"probabilities sum to {self.probs.sum(axis=-1)!r}")
+        if self.scores.shape[-1] != self.probs.shape[-1]:
             raise ValueError("score/probability length mismatch")
-        row_sums = self.scores.sum(axis=1)
+        row_sums = self.scores.sum(axis=-1)
         if np.max(np.abs(row_sums), initial=0.0) > 1e-10:
             raise ValueError(f"score rows must sum to 0, got {row_sums}")
 
     @property
     def m(self) -> int:
-        return self.scores.shape[0]
+        return self.scores.shape[-2]
 
 
 def sld(rho: DensityMatrix, x: np.ndarray) -> np.ndarray:
@@ -88,40 +89,45 @@ def rld(rho: DensityMatrix, x: np.ndarray, rank_tol: float = linalg.RANK_TOL) ->
     """Right logarithmic derivative L = X rho^+ on the support of rho.
 
     Exists iff X has no weight outside the support; the out-of-support
-    norm is checked against the absolute linalg.SUPPORT_TOL.
+    norm is checked against the absolute linalg.SUPPORT_TOL.  X may be a
+    stack broadcasting against rho; every member is checked.
     """
     x = np.asarray(x, dtype=complex)
     w, u = rho.eig
     out, pxp = linalg.support_leak(x, w, u, rank_tol)
-    if out > linalg.SUPPORT_TOL:
-        raise RldExistenceError(out)
+    if out.max() > linalg.SUPPORT_TOL:
+        raise RldExistenceError(out.max())
     inv = np.divide(1.0, w, out=np.zeros_like(w), where=linalg.support_mask(w, rank_tol))
-    pinv = u @ np.diag(inv) @ u.conj().T
-    l = x @ pinv
-    res = frob(l @ rho.mat - pxp)
-    if res > 1e-10 * max(1e-30, frob(x)):
-        raise RldExistenceError(out, f"RLD residual {res:.3e} too large")
+    l = x @ ((u * inv[..., None, :]) @ u.conj().swapaxes(-1, -2))
+    res = linalg.frob_each(l @ rho.mat - pxp)
+    bad = res > 1e-10 * np.maximum(1e-30, linalg.frob_each(x))
+    if bad.any():
+        raise RldExistenceError(out.max(), f"RLD residual {res[bad].max():.3e} too large")
     return l
 
 
-def _metric(point: FamilyPoint, kernel: np.ndarray) -> np.ndarray:
+def _tangents(point: FamilyPoint) -> np.ndarray:
+    """The tangents as one (m, ..., d, d) array."""
+    return np.reshape(point.tangents, (point.m, *point.rho.mat.shape))
+
+
+def _metric(u: np.ndarray, xs: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """J_ij = sum_ab (X~_i)_ab conj(X~_j)_ab k(lam_a, lam_b), X~ = U^dag X U.
 
     Every monotone metric has this form in the eigenbasis of
     rho = U diag(lam) U^dag (Petz 1996); `kernel` holds k(lam_a, lam_b)
-    as a (d, d) array or one that broadcasts to it.
+    as a (..., d, d) array or one that broadcasts to it.
     """
-    u = point.rho.eig.eigenvectors
-    xt = u.conj().T @ np.reshape(point.tangents, (point.m, point.dim, point.dim)) @ u
-    return np.einsum("iab,jab->ij", xt * kernel, xt.conj())
+    xt = u.conj().swapaxes(-1, -2) @ xs @ u
+    return np.einsum("i...ab,j...ab->...ij", xt * kernel, xt.conj())
 
 
 def sld_fisher(point: FamilyPoint) -> QFisherMatrix:
     """J^S_ij = Re Tr rho L_i L_j with SLDs L_i: kernel 2/(lam_a + lam_b)."""
     w = point.rho.eig.eigenvalues
     if not point.rho.is_full_rank():
-        raise RankDeficiencyError(f"state is rank deficient (min eigenvalue {w[0]:.3e}); SLD is not unique")
-    j = _metric(point, 2.0 / (w[:, None] + w[None, :])).real
+        raise RankDeficiencyError(f"state is rank deficient (min eigenvalue {w.min():.3e}); SLD is not unique")
+    j = _metric(point.rho.eig.eigenvectors, _tangents(point), 2.0 / (w[..., :, None] + w[..., None, :])).real
     return QFisherMatrix(point.m, j, np.zeros_like(j), "SLD")
 
 
@@ -132,26 +138,26 @@ def km_fisher(point: FamilyPoint) -> QFisherMatrix:
     """
     w = point.rho.eig.eigenvalues
     if not point.rho.is_full_rank():
-        raise RankDeficiencyError(f"state is rank deficient (min eigenvalue {w[0]:.3e}); KM needs log rho")
-    a, b = w[:, None], w[None, :]
+        raise RankDeficiencyError(f"state is rank deficient (min eigenvalue {w.min():.3e}); KM needs log rho")
+    a, b = w[..., :, None], w[..., None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         c = (np.log(a) - np.log(b)) / (a - b)
         c = np.where(np.abs(a - b) <= 1e-12 * np.maximum(a, b), 1.0 / a, c)
-    j = _metric(point, c).real
+    j = _metric(point.rho.eig.eigenvectors, _tangents(point), c).real
     return QFisherMatrix(point.m, j, np.zeros_like(j), "KM")
 
 
 def rld_fisher(point: FamilyPoint, rank_tol: float = linalg.RANK_TOL) -> QFisherMatrix:
     """J^R_ij = Tr rho L_j^dag L_i with RLDs L_i: kernel 1/lam_b on the support; Hermitian PSD."""
-    for x in point.tangents:
-        rld(point.rho, x, rank_tol=rank_tol)  # raises RldExistenceError if no RLD exists
-    w = point.rho.eig.eigenvalues
+    xs = _tangents(point)
+    rld(point.rho, xs, rank_tol=rank_tol)  # raises RldExistenceError if no RLD exists
+    w, u = point.rho.eig
     inv = np.divide(1.0, w, out=np.zeros_like(w), where=linalg.support_mask(w, rank_tol))
-    j = _metric(point, inv[None, :])
-    out = QFisherMatrix.from_complex(j, "RLD")
-    if out.min_eigenvalue() < -1e-10 * max(1.0, frob(j)):
-        raise ValueError(f"RLD Fisher matrix not PSD: min eigenvalue {out.min_eigenvalue():.3e}")
-    return out
+    j = _metric(u, xs, inv[..., None, :])
+    lam = np.linalg.eigvalsh(j)  # also gives ||J||_F = sqrt(sum lam^2)
+    if (lam[..., 0] < -1e-10 * np.maximum(1.0, np.sqrt((lam * lam).sum(axis=-1)))).any():
+        raise ValueError(f"RLD Fisher matrix not PSD: min eigenvalue {lam.min():.3e}")
+    return QFisherMatrix.from_complex(j, "RLD")
 
 
 def classical_fisher(point: ClassicalFamilyPoint) -> QFisherMatrix:
@@ -159,14 +165,14 @@ def classical_fisher(point: ClassicalFamilyPoint) -> QFisherMatrix:
     p = point.probs
     s = point.scores
     live = p > 1e-15
-    dead_scored = (~live) & (np.max(np.abs(s), axis=0) > 1e-12)
+    dead_scored = (~live) & (np.max(np.abs(s), axis=-2) > 1e-12)
     if np.any(dead_scored):
-        idx = int(np.argmax(dead_scored))
+        *member, idx = np.argwhere(dead_scored)[0]
         raise SingularFamilyError(
-            f"outcome {idx} has zero probability but score {s[:, idx]}"
+            f"outcome {idx} has zero probability but score {s[(*member, slice(None), idx)]}"
         )
-    sl = s[:, live]
-    j = (sl / p[live]) @ sl.T
+    sl = s / np.where(live, p, np.inf)[..., None, :]
+    j = sl @ s.swapaxes(-1, -2)
     return QFisherMatrix(point.m, j, np.zeros_like(j), "classical")
 
 
@@ -177,7 +183,7 @@ def rld_imag_diagnostic(point: FamilyPoint) -> dict:
     no equality is asserted since the Hermiticity convention for the
     non-Hermitian L^R is not fixed.
     """
-    ls = np.array([rld(point.rho, x) for x in point.tangents])
+    ls = rld(point.rho, _tangents(point))
     t = np.einsum("iac,kca->ik", point.rho.mat @ ls, ls)  # Tr rho L_i L_k
     comm = -0.5 * (t - t.T).imag
     imag = rld_fisher(point).imag_part

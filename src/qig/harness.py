@@ -1,9 +1,9 @@
 """Randomized verification suites and the truncated Gaussian family.
 
-The suites draw seeded random instances, evaluate the metric/divergence
-sandwich and monotonicity checks, and collect slacks: a check of the
-form "a <= b" records the slack b - a, and a violation is a slack below
--tolerance.
+The suites draw seeded random instances trial by trial, evaluate the
+metric/divergence sandwich and monotonicity checks once per dimension on
+stacks of them, and collect slacks: a check of the form "a <= b" records
+the slack b - a, and a violation is a slack below -tolerance.
 """
 
 from __future__ import annotations
@@ -13,9 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
-from .channels import child_rng, random_family_point, random_kraus, random_povm, random_density, measure, optimal_sld_povm, apply_channel
+from .channels import (
+    apply_channel, child_rng, density_from, family_point_from, ginibre, kraus_from, measure,
+    optimal_sld_povm, povm_from,
+)
 from .divergence import rld_divergence, two_point_reverse_estimate, umegaki
-from .errors import TruncationError
+from .errors import QigError, TruncationError
 from .fisher import classical_fisher, finite_difference_tangents, km_fisher, rld_fisher, sld_fisher
 from .linalg import herm
 from .reverse import input_fisher, local_reverse_estimate, multiparam_bounds
@@ -45,95 +48,92 @@ class SuiteReport:
             name: (float(np.min(v)), float(np.max(v))) for name, v in slacks.items() if len(v)
         }
         violations = [
-            (t, name, float(s))
+            (int(t), name, float(v[t]))
             for name, v in slacks.items()
-            for t, s in enumerate(v)
-            if s < -tol
+            for t in np.flatnonzero(np.asarray(v) < -tol)
         ]
         return cls(suite, master_seed, trials, slack_range, violations, not violations,
                    details or {})
 
 
-def _check_run(trials: int, dims) -> list[int]:
-    """Refuse a run that checks nothing: no trials, or a dimension below 2."""
+def _run_stacked(suite, trials, dims, seed, draw, evaluate) -> SuiteReport:
+    """Draw each trial t from child_rng(seed, t), in order; evaluate each dimension's draws as stacks.
+
+    `evaluate` returns {check: slacks}, scattered back to the trials.  On a
+    raise, the first trial that fails on its own is re-raised, named.
+    """
     dims = [int(d) for d in dims]
     if trials < 1 or not dims or min(dims) < 2:
         raise ValueError(f"suites need trials >= 1 and every dim >= 2, got {trials} trials, dims {dims}")
-    return dims
+    groups, slacks = {}, {}
+    for t in range(trials):
+        rng = child_rng(seed, t)
+        dim = dims[rng.integers(len(dims))]
+        groups.setdefault(dim, []).append((t, draw(dim, rng)))
+    stacked = [(idx, [np.stack(a) for a in zip(*drawn)]) for idx, drawn in (zip(*g) for g in groups.values())]
+    try:
+        values = [evaluate(*stacks) for _, stacks in stacked]
+    except (QigError, ValueError):
+        for t in range(trials):
+            idx, stacks = next(g for g in stacked if t in g[0])
+            try:
+                evaluate(*(a[idx.index(t):idx.index(t) + 1] for a in stacks))
+            except (QigError, ValueError) as exc:
+                exc.args = (f"trial {t}: {exc}",)
+                raise
+        raise
+    for (idx, _), checks in zip(stacked, values):
+        for name, v in checks.items():
+            slacks.setdefault(name, np.empty(trials))[list(idx)] = v
+    return SuiteReport.build(suite, seed, trials, slacks, METRIC_SLACK_TOL)
 
 
-def _dim_for_trial(dims, rng) -> int:
-    return int(dims[rng.integers(len(dims))])
+def _metric_checks(g_point, g_povm, g_channel) -> dict:
+    point = family_point_from(g_point)
+    js, jkm, jr = sld_fisher(point).scalar, km_fisher(point).scalar, rld_fisher(point).scalar
+    jm = classical_fisher(measure(point, povm_from(g_povm))).scalar
+    jopt = classical_fisher(measure(point, optimal_sld_povm(point))).scalar
+    jin = input_fisher(local_reverse_estimate(point)).scalar
+    image = apply_channel(point, kraus_from(g_channel, point.dim))
+    return {
+        "km_minus_sld": jkm - js, "rld_minus_km": jr - jkm,
+        "sld_minus_measured": js - jm, "optimal_povm_equality": -abs(jopt - js),
+        "lre_equality": -abs(jin - jr),
+        "cpt_sld": js - sld_fisher(image).scalar, "cpt_km": jkm - km_fisher(image).scalar,
+        "cpt_rld": jr - rld_fisher(image).scalar,
+    }
 
 
 def monotone_metric_suite(trials: int, dims=(2, 3), seed: int = 42) -> SuiteReport:
     """Sandwich J^S <= J^KM <= J^R, measurement bound, LRE equality, CPT monotonicity."""
-    dims = _check_run(trials, dims)
-    checks = {
-        "km_minus_sld": [], "rld_minus_km": [],
-        "sld_minus_measured": [], "optimal_povm_equality": [],
-        "lre_equality": [],
-        "cpt_sld": [], "cpt_km": [], "cpt_rld": [],
+    # the draws of random_family_point(dim), random_povm(dim, 3) and random_kraus(dim)
+    draw = lambda dim, rng: (ginibre(rng, 2, dim), ginibre(rng, 3, dim), ginibre(rng, 1, 2 * dim)[0])
+    return _run_stacked("monotone_metric", trials, dims, seed, draw, _metric_checks)
+
+
+def _divergence_checks(g_pair, g_channel, g_qubits) -> dict:
+    rho, sigma = density_from(g_pair[:, 0]), density_from(g_pair[:, 1])
+    du, dr = umegaki(rho, sigma), rld_divergence(rho, sigma)
+    ch = kraus_from(g_channel, rho.dim)
+    rho_c, sigma_c = DensityMatrix(ch.apply(rho.mat)), DensityMatrix(ch.apply(sigma.mat))
+    rho2, sigma2 = density_from(g_qubits[:, 0]), density_from(g_qubits[:, 1])
+    n, d = len(rho.mat), 2 * rho.dim
+    kron = lambda a, b: (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(n, d, d)  # member by member
+    rho_t, sigma_t = DensityMatrix(kron(rho.mat, rho2.mat)), DensityMatrix(kron(sigma.mat, sigma2.mat))
+    return {
+        "rld_minus_umegaki": dr - du,
+        "cpt_umegaki": du - umegaki(rho_c, sigma_c), "cpt_rld_div": dr - rld_divergence(rho_c, sigma_c),
+        "additivity_umegaki": -abs(umegaki(rho_t, sigma_t) - du - umegaki(rho2, sigma2)),
+        "additivity_rld_div": -abs(rld_divergence(rho_t, sigma_t) - dr - rld_divergence(rho2, sigma2)),
+        "two_point_equality": -abs(two_point_reverse_estimate(rho, sigma).input_kl() - dr),
     }
-    for t in range(trials):
-        rng = child_rng(seed, t)
-        dim = _dim_for_trial(dims, rng)
-        point = random_family_point(dim, 1, rng)
-        js = sld_fisher(point).scalar
-        jkm = km_fisher(point).scalar
-        jr = rld_fisher(point).scalar
-        checks["km_minus_sld"].append(jkm - js)
-        checks["rld_minus_km"].append(jr - jkm)
-        povm = random_povm(dim, 3, rng)
-        jm = classical_fisher(measure(point, povm)).scalar
-        checks["sld_minus_measured"].append(js - jm)
-        jopt = classical_fisher(measure(point, optimal_sld_povm(point))).scalar
-        checks["optimal_povm_equality"].append(-abs(jopt - js))
-        jin = input_fisher(local_reverse_estimate(point)).scalar
-        checks["lre_equality"].append(-abs(jin - jr))
-        ch = random_kraus(dim, rng)
-        image = apply_channel(point, ch)
-        checks["cpt_sld"].append(js - sld_fisher(image).scalar)
-        checks["cpt_km"].append(jkm - km_fisher(image).scalar)
-        checks["cpt_rld"].append(jr - rld_fisher(image).scalar)
-    return SuiteReport.build("monotone_metric", seed, trials, checks, METRIC_SLACK_TOL)
 
 
 def monotone_divergence_suite(trials: int, dims=(2, 3), seed: int = 43) -> SuiteReport:
     """Umegaki <= D^R, CPT monotonicity, additivity, and two-point achievability."""
-    dims = _check_run(trials, dims)
-    checks = {
-        "rld_minus_umegaki": [],
-        "cpt_umegaki": [], "cpt_rld_div": [],
-        "additivity_umegaki": [], "additivity_rld_div": [],
-        "two_point_equality": [],
-    }
-    for t in range(trials):
-        rng = child_rng(seed, t)
-        dim = _dim_for_trial(dims, rng)
-        rho = random_density(dim, rng)
-        sigma = random_density(dim, rng)
-        du = umegaki(rho, sigma)
-        dr = rld_divergence(rho, sigma)
-        checks["rld_minus_umegaki"].append(dr - du)
-        ch = random_kraus(dim, rng)
-        rho_c = DensityMatrix(ch.apply(rho.mat))
-        sigma_c = DensityMatrix(ch.apply(sigma.mat))
-        checks["cpt_umegaki"].append(du - umegaki(rho_c, sigma_c))
-        checks["cpt_rld_div"].append(dr - rld_divergence(rho_c, sigma_c))
-        rho2 = random_density(2, rng)
-        sigma2 = random_density(2, rng)
-        rho_t = DensityMatrix(np.kron(rho.mat, rho2.mat))
-        sigma_t = DensityMatrix(np.kron(sigma.mat, sigma2.mat))
-        checks["additivity_umegaki"].append(
-            -abs(umegaki(rho_t, sigma_t) - du - umegaki(rho2, sigma2))
-        )
-        checks["additivity_rld_div"].append(
-            -abs(rld_divergence(rho_t, sigma_t) - dr - rld_divergence(rho2, sigma2))
-        )
-        tpre = two_point_reverse_estimate(rho, sigma)
-        checks["two_point_equality"].append(-abs(tpre.input_kl() - dr))
-    return SuiteReport.build("monotone_divergence", seed, trials, checks, METRIC_SLACK_TOL)
+    # the draws of rho and sigma (random_density(dim)), random_kraus(dim) and a qubit pair
+    draw = lambda dim, rng: (ginibre(rng, 2, dim), ginibre(rng, 1, 2 * dim)[0], ginibre(rng, 2, 2))
+    return _run_stacked("monotone_divergence", trials, dims, seed, draw, _divergence_checks)
 
 
 # --- Fock-truncated Gaussian family ------------------------------------------

@@ -27,10 +27,13 @@ def encode_matrix(mat) -> list:
 
 
 def decode_entry(e) -> complex:
-    if isinstance(e, (int, float)):
-        return complex(e)
-    if isinstance(e, (list, tuple)) and len(e) == 2 and all(isinstance(v, (int, float)) for v in e):
-        return complex(e[0], e[1])
+    try:
+        if isinstance(e, (int, float)):
+            return complex(e)
+        if isinstance(e, (list, tuple)) and len(e) == 2 and all(isinstance(v, (int, float)) for v in e):
+            return complex(e[0], e[1])
+    except OverflowError:  # an integer literal beyond the float range
+        raise SpecFileError(f"cannot decode matrix entry {str(e)[:20]}...: beyond the float range") from None
     raise SpecFileError(f"cannot decode matrix entry {e!r}: expected number or [re, im]")
 
 

@@ -29,6 +29,13 @@ def frob(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
+def frob_each(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each member of a (..., r, c) stack; bit for bit frob on one C-ordered matrix."""
+    v = a.reshape(a.shape[:-2] + (1, -1))  # row vectors: matmul takes the dot path frob takes
+    vt = v.swapaxes(-1, -2)
+    return np.sqrt(v.real @ vt.real + v.imag @ vt.imag)[..., 0, 0]
+
+
 def herm(a: np.ndarray) -> np.ndarray:
     """Hermitian part (A + A^dag)/2 of a matrix or of each member of a (..., d, d) stack."""
     a = np.asarray(a)
@@ -38,11 +45,6 @@ def herm(a: np.ndarray) -> np.ndarray:
 def _rebuild(w: np.ndarray, u: np.ndarray) -> np.ndarray:
     """U diag(w) U^dag for spectra (..., d) and eigenvector matrices (..., d, d)."""
     return (u * w[..., None, :]) @ u.conj().swapaxes(-1, -2)
-
-
-def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
-    a = np.asarray(a)
-    return a.ndim == 2 and a.shape[0] == a.shape[1] and frob(a - a.conj().T) <= tol * max(1.0, frob(a))
 
 
 def eig_hermitian(h: np.ndarray) -> SpectralDecomposition:
@@ -85,11 +87,13 @@ def support_mask(w: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
 
 
 def support_leak(x: np.ndarray, w: np.ndarray, u: np.ndarray, rank_tol: float = RANK_TOL):
-    """(||X - P X P||_F, P X P) with P the projector onto the support of the spectrum (w, u)."""
-    sup = support_mask(w, rank_tol)
-    p = u[:, sup] @ u[:, sup].conj().T
+    """(||X - P X P||_F, P X P) with P the projector onto the support of the spectrum (w, u).
+
+    Stacks broadcast: the norm is per member.
+    """
+    p = _rebuild(support_mask(w, rank_tol), u)
     pxp = p @ x @ p
-    return frob(x - pxp), pxp
+    return frob_each(x - pxp), pxp
 
 
 def spectral_function(w, u, f, rank_tol: float = RANK_TOL, strict: bool = False) -> np.ndarray:
@@ -122,31 +126,27 @@ def matrix_function(h, f, rank_tol: float = RANK_TOL, strict: bool = False) -> n
     return spectral_function(*eig_hermitian(h), f, rank_tol, strict)
 
 
-def support_projector(h, rank_tol: float = RANK_TOL) -> np.ndarray:
-    w, u = eig_hermitian(h)
-    sup = support_mask(w, rank_tol)
-    return herm(u[:, sup] @ u[:, sup].conj().T)
-
-
 def solve_lyapunov(rho, x, rank_tol: float = RANK_TOL) -> np.ndarray:
     """Solve X = (L rho + rho L)/2 for Hermitian L (the SLD equation).
 
     In the eigenbasis of rho, L_ij = 2 X_ij / (lam_i + lam_j); requires
-    rho numerically full rank.
+    rho numerically full rank.  Works member by member on (..., d, d) stacks.
     """
     rho = np.asarray(rho, dtype=complex)
     x = np.asarray(x, dtype=complex)
     if rho.shape != x.shape:
         raise DimensionMismatchError(f"shape mismatch: {rho.shape} vs {x.shape}")
     w, u = eig_hermitian(rho)
-    if np.min(w) < rank_tol * np.max(w):
+    lo, hi = w[..., 0], w[..., -1]
+    if np.any(lo < rank_tol * hi):
+        k = np.argmin(lo / hi)
         raise RankDeficiencyError(
-            f"state is rank deficient (min/max eigenvalue {np.min(w):.3e}/{np.max(w):.3e}); "
+            f"state is rank deficient (min/max eigenvalue {np.ravel(lo)[k]:.3e}/{np.ravel(hi)[k]:.3e}); "
             "SLD is not unique"
         )
-    xt = u.conj().T @ x @ u
-    lt = 2.0 * xt / (w[:, None] + w[None, :])
-    return herm(u @ lt @ u.conj().T)
+    uh = u.conj().swapaxes(-1, -2)
+    lt = 2.0 * (uh @ x @ u) / (w[..., :, None] + w[..., None, :])
+    return herm(u @ lt @ uh)
 
 
 def trace_norm(k) -> float:

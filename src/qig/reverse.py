@@ -30,24 +30,24 @@ from .states import AmplitudeMatrix, FamilyPoint
 
 @dataclass(eq=False)
 class LocalReverseEstimate:
-    """Ensemble plus per-parameter scores lambda_{i,x} at theta0."""
+    """Ensemble plus per-parameter scores lambda_{i,x} at theta0 (stacks lead, as in the ensemble)."""
 
     ensemble: Ensemble
-    scores: np.ndarray  # shape (m, n_components)
+    scores: np.ndarray  # shape (..., m, n_components)
     theta0: np.ndarray
 
     def __post_init__(self):
         self.scores = np.atleast_2d(np.asarray(self.scores, dtype=float))
         self.theta0 = np.atleast_1d(np.asarray(self.theta0, dtype=float))
-        if self.scores.shape[1] != self.ensemble.size:
+        if self.scores.shape[-1] != self.ensemble.size:
             raise DimensionMismatchError("score length does not match ensemble size")
-        mean = self.scores @ self.ensemble.weights
+        mean = (self.scores @ self.ensemble.weights[..., None])[..., 0]
         if np.max(np.abs(mean), initial=0.0) > 1e-10:
             raise ValueError(f"weighted scores must sum to 0 per parameter, got {mean}")
 
     @property
     def m(self) -> int:
-        return self.scores.shape[0]
+        return self.scores.shape[-2]
 
     def tangent(self, i: int = 0) -> np.ndarray:
         """sum_x lambda_{i,x} p(x) |phi_x><phi_x|."""
@@ -65,17 +65,14 @@ def local_reverse_estimate(point: FamilyPoint) -> LocalReverseEstimate:
         raise ValueError("local reverse estimation is defined for 1-dim families")
     if not point.rho.is_full_rank():
         raise RankDeficiencyError("local reverse estimation requires a full-rank state")
-    rm = point.rho.func(("power", -0.5))
-    rp = point.rho.func("sqrt")
-    a = herm(rm @ point.tangents[0] @ rm)
-    lam, u = np.linalg.eigh(a)
-    return LocalReverseEstimate(Ensemble.from_columns(rp @ u), lam[None, :], point.theta)
+    lam, u = np.linalg.eigh(point.rho.whiten(point.tangents[0]))
+    return LocalReverseEstimate(Ensemble.from_columns(point.rho.func("sqrt") @ u), lam[..., None, :], point.theta)
 
 
 def input_fisher(lre: LocalReverseEstimate) -> QFisherMatrix:
     """Classical Fisher matrix of the simulating input family at theta0."""
     p = lre.ensemble.weights
-    j = (lre.scores * p) @ lre.scores.T
+    j = (lre.scores * p[..., None, :]) @ lre.scores.swapaxes(-1, -2)
     return QFisherMatrix(lre.m, j, np.zeros_like(j), "classical")
 
 
@@ -120,9 +117,7 @@ def random_valid_lre(point: FamilyPoint, seed=0, n_components: int | None = None
     g = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
     q, _ = np.linalg.qr(g)  # n x d, orthonormal columns
     v = q.conj().T  # d x n co-isometry
-    rm = point.rho.func(("power", -0.5))
-    rp = point.rho.func("sqrt")
-    a = herm(rm @ point.tangents[0] @ rm)
+    a = point.rho.whiten(point.tangents[0])
     # real linear system: sum_x lam_x Re/Im (v_x v_x^dag) = Re/Im A
     outer = np.einsum("ix,jx->xij", v, v.conj())  # n of (d x d)
     design = np.concatenate(
@@ -138,7 +133,7 @@ def random_valid_lre(point: FamilyPoint, seed=0, n_components: int | None = None
     if res > 1e-8 * max(1.0, frob(a)):
         # fall back to the exact min-norm solution
         lam = lam0
-    return LocalReverseEstimate(Ensemble.from_columns(rp @ v), lam[None, :], point.theta)
+    return LocalReverseEstimate(Ensemble.from_columns(point.rho.func("sqrt") @ v), lam[None, :], point.theta)
 
 
 # --- global reverse estimation ----------------------------------------------
@@ -190,9 +185,7 @@ def global_reverse_estimate(
     if norm > 1e-8 * max(1.0, max((frob(l) for l in ls), default=0.0) ** 2):
         raise NotReverseEstimableError(norm)
     rho0 = points[base_index].rho
-    rm = rho0.func(("power", -0.5))
-    rp = rho0.func("sqrt")
-    ms = [herm(rm @ pt.rho.mat @ rm) for pt in points]
+    ms = rho0.whiten(np.array([pt.rho.mat for pt in points]))
     u = None
     for attempt in range(5):
         rng = child_rng(seed, attempt)
@@ -207,7 +200,7 @@ def global_reverse_estimate(
             break
     if u is None:
         raise NotReverseEstimableError(norm)
-    cols = rp @ u
+    cols = rho0.func("sqrt") @ u
     cw = np.sum(np.abs(cols) ** 2, axis=0)  # ||rho0^(1/2) u_x||^2
     dists = np.array(
         [np.clip(np.real(np.einsum("xi,ij,jx->x", u.conj().T, mk, u)) * cw, 0.0, None) for mk in ms]
@@ -230,16 +223,13 @@ def restricted_input_fisher(gre: GlobalReverseEstimate, point: FamilyPoint, poin
     X_i rho0^(-1/2) u_x.
     """
     rho0 = points[gre.base_index].rho
-    rm = rho0.func(("power", -0.5))
     u = gre.basis
     cw = gre.base_weights
     k = next((i for i, pt in enumerate(points) if np.array_equal(pt.theta, point.theta)), None)
     if k is None:
         raise DimensionMismatchError(f"theta = {point.theta.tolist()} is not a point of the grid")
     p = gre.distributions[k]
-    scores = np.array(
-        [np.real(np.einsum("xi,ij,jx->x", u.conj().T, rm @ x @ rm, u)) * cw for x in point.tangents]
-    )
+    scores = np.einsum("xi,kij,jx->kx", u.conj().T, rho0.whiten(np.array(point.tangents)), u).real * cw
     live = p > 1e-15
     j = (scores[:, live] / p[live]) @ scores[:, live].T
     return QFisherMatrix(point.m, j, np.zeros_like(j), "classical")

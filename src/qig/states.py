@@ -40,29 +40,34 @@ def check_states(mats: np.ndarray) -> linalg.SpectralDecomposition:
 
 @dataclass(eq=False)
 class DensityMatrix:
-    """Hermitian PSD trace-one matrix with its eigendecomposition."""
+    """Hermitian PSD trace-one matrix, or a (..., d, d) stack of them, with its eigendecomposition."""
 
     mat: np.ndarray
     eig: linalg.SpectralDecomposition = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.mat, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
             raise DimensionMismatchError(f"density matrix must be square, got {m.shape}")
         self.mat = herm(m)
         self.eig = check_states(self.mat)
 
     @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return self.mat.shape[-1]
 
     def is_full_rank(self, rank_tol: float = linalg.RANK_TOL) -> bool:
         w = self.eig.eigenvalues
-        return bool(np.min(w) >= rank_tol * np.max(w))
+        return bool((w[..., 0] >= rank_tol * w[..., -1]).all())
 
     def func(self, f, rank_tol: float = linalg.RANK_TOL) -> np.ndarray:
         """Support-restricted matrix function of the state (see linalg.spectral_function)."""
         return linalg.spectral_function(*self.eig, f, rank_tol)
+
+    def whiten(self, x) -> np.ndarray:
+        """Canonical whitening rho^(-1/2) X rho^(-1/2), on the support of rho; X may be a stack."""
+        rm = self.func(("power", -0.5))
+        return herm(rm @ x @ rm)
 
 
 TANGENT_TRACE_TOL = 1e-10
@@ -70,7 +75,7 @@ TANGENT_TRACE_TOL = 1e-10
 
 @dataclass(eq=False)
 class FamilyPoint:
-    """Local data of a state family: theta, rho_theta and its tangents."""
+    """Local data of a state family: theta, rho_theta and its tangents, each shaped like rho.mat."""
 
     theta: np.ndarray
     rho: DensityMatrix
@@ -85,8 +90,9 @@ class FamilyPoint:
                 raise DimensionMismatchError(
                     f"tangent shape {x.shape} does not match state {self.rho.mat.shape}"
                 )
-            if abs(np.trace(x)) > TANGENT_TRACE_TOL:
-                raise ValueError(f"tangent trace {np.trace(x):.3e} exceeds {TANGENT_TRACE_TOL}")
+            tr = np.max(np.abs(np.trace(x, axis1=-2, axis2=-1)))
+            if tr > TANGENT_TRACE_TOL:
+                raise ValueError(f"tangent trace {tr:.3e} exceeds {TANGENT_TRACE_TOL}")
             tangents.append(herm(x))
         self.tangents = tangents
         if len(self.tangents) != len(self.theta):

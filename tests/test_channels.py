@@ -11,7 +11,7 @@ from qig.channels import (
     measure,
     optimal_sld_povm,
     random_density,
-    random_instance,
+    random_family_point,
     random_kraus,
     random_povm,
     random_unitary,
@@ -98,7 +98,7 @@ class TestMeasure:
         rng = np.random.default_rng(60)
         for _ in range(100):
             dim = int(rng.integers(2, 5))
-            pt = random_instance("family_point", dim, 1, rng)
+            pt = random_family_point(dim, 1, rng)
             jm = classical_fisher(measure(pt, random_povm(dim, 3, rng))).scalar
             assert jm <= sld_fisher(pt).scalar + 1e-9
 
@@ -121,7 +121,7 @@ class TestOptimalSldPovm:
         assert jm == pytest.approx(0.64, abs=1e-9)
 
     def test_random_seed8_attains_sld(self):
-        pt = random_instance("family_point", 2, 1, 8)
+        pt = random_family_point(2, 1, 8)
         jm = classical_fisher(measure(pt, optimal_sld_povm(pt))).scalar
         assert jm == pytest.approx(sld_fisher(pt).scalar, abs=1e-9)
 
@@ -149,7 +149,7 @@ class TestApplyChannel:
         rng = np.random.default_rng(61)
         for _ in range(200):
             dim = int(rng.integers(2, 4))
-            pt = random_instance("family_point", dim, 1, rng)
+            pt = random_family_point(dim, 1, rng)
             out = apply_channel(pt, random_kraus(dim, rng))
             assert sld_fisher(out).scalar <= sld_fisher(pt).scalar + 1e-8
             assert rld_fisher(out).scalar <= rld_fisher(pt).scalar + 1e-8
@@ -226,12 +226,3 @@ class TestRandomInstances:
         c = child_rng(42, 1).normal(size=3)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
-
-    def test_dispatcher(self):
-        assert isinstance(random_instance("density", 2, seed=1), DensityMatrix)
-        assert isinstance(random_instance("kraus", 3, seed=2), KrausChannel)
-        assert isinstance(random_instance("povm", 2, 3, seed=3), POVM)
-        with pytest.raises(ValueError):
-            random_instance("density", 1, seed=0)
-        with pytest.raises(ValueError):
-            random_instance("graph", 2, seed=0)

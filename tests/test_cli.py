@@ -299,6 +299,13 @@ class TestSpecErrors:
         path = write_json(tmp_path / "s.json", spec)
         self._fails([cmd, "--family", path], capsys, spec["kind"], repr(name))
 
+    @pytest.mark.parametrize("step", ["x", 0.0, [1e-4]])
+    def test_bad_derivative_step_named(self, step, tmp_path, capsys):
+        spec = write_json(tmp_path / "b.json", {
+            "kind": "bloch_rotation", "r": 0.5, "derivative": {"mode": "finite_difference", "step": step},
+        })
+        self._fails(["fisher", "--family", spec], capsys, "bloch_rotation", "'derivative.step'")
+
     def test_multiparameter_km_reported(self, tmp_path):
         spec = write_json(tmp_path / "e.json", {
             "kind": "explicit",
@@ -332,8 +339,9 @@ class TestSpecFuzz:
             "theta_grid": [0.0, 0.5, 1.0],
         },
     ]
-    BAD_ENTRIES = ["x", None, [1.0, 2.0, 3.0], [[0.5]]]
-    BAD_VALUES = ["x", None, 3, -1.5, True, [], {}, [1.0, 2.0, 3.0], [["x"]], [[0.5, 0.5]]]
+    BAD_ENTRIES = ["x", None, [1.0, 2.0, 3.0], [[0.5]], 10**400]
+    BAD_VALUES = ["x", None, 3, -1.5, True, [], {}, [1.0, 2.0, 3.0], [["x"]], [[0.5, 0.5]],
+                  {"mode": "finite_difference", "step": "x"}]
 
     @staticmethod
     def _paths(obj, path=()):

@@ -1,20 +1,95 @@
 import numpy as np
 import pytest
 
-from qig.channels import random_family_point
+from qig import channels, harness
+from qig.channels import (
+    apply_channel,
+    child_rng,
+    measure,
+    optimal_sld_povm,
+    random_density,
+    random_family_point,
+    random_kraus,
+    random_povm,
+)
+from qig.divergence import rld_divergence, two_point_reverse_estimate, umegaki
 from qig.errors import TruncationError
 from qig.families import bloch_rotation_point
-from qig.fisher import classical_fisher, ClassicalFamilyPoint, km_fisher, rld_fisher
+from qig.fisher import classical_fisher, ClassicalFamilyPoint, km_fisher, rld_fisher, sld_fisher
 from qig.harness import (
     COHERENT_CONVENTION,
     GaussianSpec,
+    SuiteReport,
     gaussian_check,
     gaussian_closed_form,
     gaussian_family,
     monotone_divergence_suite,
     monotone_metric_suite,
 )
+from qig.reverse import input_fisher, local_reverse_estimate
 from qig.states import DensityMatrix, FamilyPoint
+
+
+def metric_trial(dim, rng):
+    """One trial of the metric suite through the public single-instance API."""
+    point = random_family_point(dim, 1, rng)
+    js, jkm, jr = sld_fisher(point).scalar, km_fisher(point).scalar, rld_fisher(point).scalar
+    jm = classical_fisher(measure(point, random_povm(dim, 3, rng))).scalar
+    jopt = classical_fisher(measure(point, optimal_sld_povm(point))).scalar
+    jin = input_fisher(local_reverse_estimate(point)).scalar
+    image = apply_channel(point, random_kraus(dim, rng))
+    return {
+        "km_minus_sld": jkm - js, "rld_minus_km": jr - jkm,
+        "sld_minus_measured": js - jm, "optimal_povm_equality": -abs(jopt - js),
+        "lre_equality": -abs(jin - jr),
+        "cpt_sld": js - sld_fisher(image).scalar, "cpt_km": jkm - km_fisher(image).scalar,
+        "cpt_rld": jr - rld_fisher(image).scalar,
+    }
+
+
+def divergence_trial(dim, rng):
+    """One trial of the divergence suite through the public single-instance API."""
+    rho, sigma = random_density(dim, rng), random_density(dim, rng)
+    du, dr = umegaki(rho, sigma), rld_divergence(rho, sigma)
+    ch = random_kraus(dim, rng)
+    rho_c, sigma_c = DensityMatrix(ch.apply(rho.mat)), DensityMatrix(ch.apply(sigma.mat))
+    rho2, sigma2 = random_density(2, rng), random_density(2, rng)
+    rho_t, sigma_t = DensityMatrix(np.kron(rho.mat, rho2.mat)), DensityMatrix(np.kron(sigma.mat, sigma2.mat))
+    return {
+        "rld_minus_umegaki": dr - du,
+        "cpt_umegaki": du - umegaki(rho_c, sigma_c), "cpt_rld_div": dr - rld_divergence(rho_c, sigma_c),
+        "additivity_umegaki": -abs(umegaki(rho_t, sigma_t) - du - umegaki(rho2, sigma2)),
+        "additivity_rld_div": -abs(rld_divergence(rho_t, sigma_t) - dr - rld_divergence(rho2, sigma2)),
+        "two_point_equality": -abs(two_point_reverse_estimate(rho, sigma).input_kl() - dr),
+    }
+
+
+SUITES = {
+    "metric": (monotone_metric_suite, metric_trial),
+    "divergence": (monotone_divergence_suite, divergence_trial),
+}
+
+
+def reference_report(kind, trials, dims, seed):
+    """The suite as the per-trial loop it replaces: same child_rng streams, same draw order."""
+    slacks = {}
+    for t in range(trials):
+        rng = child_rng(seed, t)
+        dim = int(dims[rng.integers(len(dims))])
+        try:
+            trial = SUITES[kind][1](dim, rng)
+        except ValueError as exc:
+            exc.args = (f"trial {t}: {exc}",)
+            raise
+        for name, v in trial.items():
+            slacks.setdefault(name, []).append(v)
+    return SuiteReport.build(kind, seed, trials, slacks, harness.METRIC_SLACK_TOL)
+
+
+def assert_same_ranges(got, want, tol=1e-12):
+    assert list(got) == list(want)
+    for name, (lo, hi) in want.items():
+        assert got[name] == pytest.approx((lo, hi), rel=0, abs=tol), name
 
 
 class TestKmFisher:
@@ -77,6 +152,72 @@ class TestDivergenceSuite:
         a = monotone_divergence_suite(15, (2, 3), 9)
         b = monotone_divergence_suite(15, (2, 3), 9)
         assert a.slack_range == b.slack_range
+
+
+class TestStackedSuites:
+    """The per-dimension stacked suites agree with the per-trial loop over the scalar API."""
+
+    # slack ranges of the 200-trial runs, computed with the per-trial loop
+    PINNED = {
+        ("metric", 42): {
+            "km_minus_sld": (0.001458155180984022, 1.972528668760435),
+            "rld_minus_km": (0.002973191602373859, 17.05984962838956),
+            "sld_minus_measured": (0.7200867341262038, 18.311257754546),
+            "optimal_povm_equality": (-7.638334409421077e-14, -0.0),
+            "lre_equality": (-4.973799150320701e-14, -0.0),
+            "cpt_sld": (0.049135501697121775, 18.4823578859636),
+            "cpt_km": (0.09921089439597486, 18.53208607772055),
+            "cpt_rld": (0.20436645425786892, 21.241860954374218),
+        },
+        ("divergence", 43): {
+            "rld_minus_umegaki": (0.0006307545284949673, 0.7580757945454848),
+            "cpt_umegaki": (0.03223118738132291, 2.6384082945004765),
+            "cpt_rld_div": (0.03215538927346069, 2.580870234862394),
+            "additivity_umegaki": (-1.9984014443252818e-14, -0.0),
+            "additivity_rld_div": (-5.1514348342607263e-14, -0.0),
+            "two_point_equality": (-2.1760371282653068e-14, -0.0),
+        },
+    }
+
+    @pytest.mark.parametrize("kind", list(SUITES))
+    @pytest.mark.parametrize("dims", [(2, 3), (2, 3, 4)])
+    def test_matches_reference_loop(self, kind, dims):
+        got = SUITES[kind][0](20, dims, 11)
+        want = reference_report(kind, 20, dims, 11)
+        assert_same_ranges(got.slack_range, want.slack_range)
+        assert got.violations == want.violations == []
+
+    @pytest.mark.parametrize("kind, seed", list(PINNED))
+    def test_pinned_200_trial_ranges(self, kind, seed):
+        assert_same_ranges(SUITES[kind][0](200, (2, 3), seed).slack_range, self.PINNED[kind, seed])
+
+    @pytest.mark.parametrize("kind", list(SUITES))
+    def test_every_slack_a_violation_keeps_trial_order(self, kind, monkeypatch):
+        # dims interleave, so a wrong scatter after grouping by dimension reorders the list
+        monkeypatch.setattr(harness, "METRIC_SLACK_TOL", -1e9)
+        got = SUITES[kind][0](30, (2, 3, 4), 5)
+        want = reference_report(kind, 30, (2, 3, 4), 5)
+        assert len(got.violations) == 30 * len(want.slack_range)
+        assert [v[:2] for v in got.violations] == [v[:2] for v in want.violations]
+        assert [v[2] for v in got.violations] == pytest.approx([v[2] for v in want.violations], rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", list(SUITES))
+    def test_corrupted_member_raises_and_names_trial(self, kind, monkeypatch):
+        # Kraus draws whose first Ginibre entry is large lose trace preservation; at seed 10
+        # the first such trial lies in the second dimension evaluated, and the first has later ones
+        unitary_from = channels.unitary_from
+
+        def leaky(g):
+            return unitary_from(g) * np.where(np.abs(g[..., :1, :1]) > 2.0, 1.01, 1.0)
+
+        monkeypatch.setattr(channels, "unitary_from", leaky)
+        with pytest.raises(ValueError) as ref:
+            reference_report(kind, 40, (2, 3), 10)
+        with pytest.raises(ValueError) as got:
+            SUITES[kind][0](40, (2, 3), 10)
+        assert type(got.value) is type(ref.value)
+        assert str(got.value) == str(ref.value)
+        assert "not trace preserving" in str(ref.value)
 
 
 class TestGaussianFamily:

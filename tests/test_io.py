@@ -97,6 +97,10 @@ def test_encode_edge_cases(mat):
     ([[1.0, 2.0], [3.0]], ValueError,
      "setting an array element with a sequence. The requested array has an inhomogeneous "
      "shape after 1 dimensions. The detected shape was (2,) + inhomogeneous part."),
+    ([[10**400, 0.0]], SpecFileError,
+     "cannot decode matrix entry 10000000000000000000...: beyond the float range"),
+    ([[[0.5, -(10**400)]]], SpecFileError,
+     "cannot decode matrix entry [0.5, -1000000000000...: beyond the float range"),
 ])
 def test_malformed_matrix_errors(obj, exc, message):
     with pytest.raises(exc) as err:

@@ -8,11 +8,9 @@ from qig.linalg import (
     eig_hermitian,
     frob,
     herm,
-    is_hermitian,
     matrix_function,
     solve_lyapunov,
     spabs,
-    support_projector,
     trace_norm,
 )
 
@@ -142,15 +140,6 @@ class TestMatrixFunction:
             matrix_function(np.eye(2), "exp")
 
 
-class TestSupportProjector:
-    def test_full_rank(self):
-        assert np.allclose(support_projector(np.diag([1.0, 2.0])), np.eye(2))
-
-    def test_rank_one(self):
-        p = support_projector(np.diag([1.0, 0.0]))
-        assert np.allclose(p, np.diag([1.0, 0.0]))
-
-
 class TestSolveLyapunov:
     def test_commuting_diag(self):
         p = 0.3
@@ -230,10 +219,8 @@ class TestHermHelpers:
     def test_herm_is_hermitian(self):
         rng = np.random.default_rng(5)
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        assert is_hermitian(herm(g))
-
-    def test_is_hermitian_rejects(self):
-        assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        h = herm(g)
+        assert np.array_equal(h, h.conj().T)
 
 
 @settings(max_examples=50, deadline=None)
