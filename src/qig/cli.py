@@ -50,6 +50,7 @@ from .reverse import (
     validate_reverse_estimate,
 )
 from .states import DensityMatrix
+from . import fisher, harness  # last: loading harness before divergence slows a cold import by ~50 ms
 
 
 def _fmt(x) -> str:
@@ -115,7 +116,7 @@ def _load_family(args, grid: bool = False):
 
 def _cmd_fisher(args) -> int:
     spec, point = _load_family(args)
-    results = {"theta": list(point.theta), "dim": point.dim, "tolerances": {"psd_slack": 1e-10}}
+    results = {"theta": list(point.theta), "dim": point.dim, "tolerances": {"psd_slack": fisher.RLD_PSD_TOL}}
     js, jr, jkm = sld_fisher(point), rld_fisher(point), km_fisher(point)
     results["sld_fisher"] = io.qfisher_to_json(js)
     results["km_fisher"] = io.qfisher_to_json(jkm)
@@ -195,7 +196,7 @@ def _cmd_monotone(args) -> int:
     results = {
         "metric_suite": io.suite_report_to_json(met),
         "divergence_suite": io.suite_report_to_json(div),
-        "tolerances": {"slack": 1e-8},
+        "tolerances": {"slack": harness.METRIC_SLACK_TOL},
     }
     _write_report(_report_path(args, None, "monotone"), sys.argv[1:], seed,
                   {"trials": args.trials, "dims": list(dims), "seed": seed}, results)

@@ -49,16 +49,22 @@ def _support_violation(rho: DensityMatrix, sigma: DensityMatrix, rank_tol: float
 def umegaki(rho: DensityMatrix, sigma: DensityMatrix, rank_tol: float = linalg.RANK_TOL) -> float:
     """Relative entropy Tr rho (log rho - log sigma), on supports, in nats."""
     w = rho.eig.eigenvalues
-    log_w = np.log(np.where(linalg.support_mask(w, rank_tol) & (w > 0), w, 1.0))
-    value = (w * log_w).sum(axis=-1) - np.einsum("...ab,...ba->...", rho.mat, sigma.func("log", rank_tol)).real
+    entropy = (w * linalg.on_support(np.log, w, rank_tol)).sum(axis=-1)
+    value = entropy - np.einsum("...ab,...ba->...", rho.mat, sigma.func("log", rank_tol)).real
     return _inf_where(_support_violation(rho, sigma, rank_tol), value)
 
 
 def rld_divergence(rho: DensityMatrix, sigma: DensityMatrix, rank_tol: float = linalg.RANK_TOL) -> float:
-    """Tr rho log(rho^(1/2) sigma^(-1) rho^(1/2)) with the log on supp rho."""
-    rp = rho.func("sqrt", rank_tol)
-    t = herm(rp @ sigma.func("inverse", rank_tol) @ rp)
-    value = np.einsum("...ab,...ba->...", rho.mat, linalg.matrix_function(t, "log", rank_tol)).real
+    """Tr rho log(rho^(1/2) sigma^(-1) rho^(1/2)) with the log on supp rho, in the eigenbasis of rho.
+
+    B = Lam^(1/2) (U_rho^dag U_sigma) diag(mu^+)^(1/2), B B^dag = W diag(tau) W^dag:
+    D^R = sum_a lam_a sum_k |W_ak|^2 log tau_k, the log on the support of tau.
+    """
+    (lam, u_r), (mu, u_s) = rho.eig, sigma.eig
+    b = linalg.on_support(np.sqrt, lam, rank_tol)[..., :, None] * (u_r.conj().swapaxes(-1, -2) @ u_s)
+    b = b * np.sqrt(linalg.on_support(np.reciprocal, mu, rank_tol))[..., None, :]
+    tau, wv = linalg.eig_hermitian(b @ b.conj().swapaxes(-1, -2))
+    value = np.einsum("...a,...ak,...k->...", lam, np.abs(wv) ** 2, linalg.on_support(np.log, tau, rank_tol))
     return _inf_where(_support_violation(rho, sigma, rank_tol), value)
 
 
@@ -119,17 +125,18 @@ class TwoPointReverseEstimate:
 
 
 def two_point_reverse_estimate(rho: DensityMatrix, sigma: DensityMatrix) -> TwoPointReverseEstimate:
-    """Minimal exact simulation of the pair (rho, sigma).
+    """Minimal exact simulation of the pair (rho, sigma), in the eigenbasis of sigma.
 
-    Diagonalize T = sigma^(-1/2) rho sigma^(-1/2); the shared states are
-    the normalized columns of sigma^(1/2) U with sigma-weights their
-    squared norms and rho-weights scaled by the eigenvalues of T.  The
-    input KL equals the RLD divergence.
+    Diagonalize T = diag(mu^(-1/2)) U^dag rho U diag(mu^(-1/2)) = W diag(t) W^dag,
+    sigma = U diag(mu) U^dag; the shared states are the normalized columns
+    of U diag(mu^(1/2)) W with sigma-weights their squared norms and
+    rho-weights scaled by t.  The input KL equals the RLD divergence.
     """
     if not sigma.is_full_rank():
         raise RankDeficiencyError("two-point reverse estimation requires full-rank sigma")
-    d_x, u = np.linalg.eigh(sigma.whiten(rho.mat))
-    ens = Ensemble.from_columns(sigma.func("sqrt") @ u)
+    mu, u = sigma.eig
+    d_x, wv = np.linalg.eigh((u.conj().swapaxes(-1, -2) @ rho.mat @ u) / np.sqrt(mu[..., :, None] * mu[..., None, :]))
+    ens = Ensemble.from_columns(u @ (np.sqrt(mu)[..., :, None] * wv))
     p_rho = np.clip(d_x, 0.0, None) * ens.weights
     return TwoPointReverseEstimate(ens, p_rho / p_rho.sum(axis=-1, keepdims=True), ens.weights)
 

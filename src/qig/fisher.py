@@ -18,6 +18,8 @@ from .errors import RankDeficiencyError, RldExistenceError, SingularFamilyError
 from .linalg import frob, herm, solve_lyapunov
 from .states import DensityMatrix, FamilyPoint
 
+RLD_PSD_TOL = 1e-10  # rld_fisher refuses J^R with an eigenvalue below -RLD_PSD_TOL * max(1, ||J^R||_F)
+
 
 @dataclass(eq=False)
 class QFisherMatrix:
@@ -97,7 +99,7 @@ def rld(rho: DensityMatrix, x: np.ndarray, rank_tol: float = linalg.RANK_TOL) ->
     out, pxp = linalg.support_leak(x, w, u, rank_tol)
     if out.max() > linalg.SUPPORT_TOL:
         raise RldExistenceError(out.max())
-    inv = np.divide(1.0, w, out=np.zeros_like(w), where=linalg.support_mask(w, rank_tol))
+    inv = linalg.on_support(np.reciprocal, w, rank_tol)
     l = x @ ((u * inv[..., None, :]) @ u.conj().swapaxes(-1, -2))
     res = linalg.frob_each(l @ rho.mat - pxp)
     bad = res > 1e-10 * np.maximum(1e-30, linalg.frob_each(x))
@@ -106,19 +108,13 @@ def rld(rho: DensityMatrix, x: np.ndarray, rank_tol: float = linalg.RANK_TOL) ->
     return l
 
 
-def _tangents(point: FamilyPoint) -> np.ndarray:
-    """The tangents as one (m, ..., d, d) array."""
-    return np.reshape(point.tangents, (point.m, *point.rho.mat.shape))
-
-
-def _metric(u: np.ndarray, xs: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+def _metric(xt: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """J_ij = sum_ab (X~_i)_ab conj(X~_j)_ab k(lam_a, lam_b), X~ = U^dag X U.
 
-    Every monotone metric has this form in the eigenbasis of
-    rho = U diag(lam) U^dag (Petz 1996); `kernel` holds k(lam_a, lam_b)
+    Every monotone metric has this form in the eigenbasis of rho = U diag(lam) U^dag
+    (Petz 1996); `xt` is FamilyPoint.tangents_eig and `kernel` holds k(lam_a, lam_b)
     as a (..., d, d) array or one that broadcasts to it.
     """
-    xt = u.conj().swapaxes(-1, -2) @ xs @ u
     return np.einsum("i...ab,j...ab->...ij", xt * kernel, xt.conj())
 
 
@@ -127,7 +123,7 @@ def sld_fisher(point: FamilyPoint) -> QFisherMatrix:
     w = point.rho.eig.eigenvalues
     if not point.rho.is_full_rank():
         raise RankDeficiencyError(f"state is rank deficient (min eigenvalue {w.min():.3e}); SLD is not unique")
-    j = _metric(point.rho.eig.eigenvectors, _tangents(point), 2.0 / (w[..., :, None] + w[..., None, :])).real
+    j = _metric(point.tangents_eig, 2.0 / (w[..., :, None] + w[..., None, :])).real
     return QFisherMatrix(point.m, j, np.zeros_like(j), "SLD")
 
 
@@ -143,19 +139,21 @@ def km_fisher(point: FamilyPoint) -> QFisherMatrix:
     with np.errstate(divide="ignore", invalid="ignore"):
         c = (np.log(a) - np.log(b)) / (a - b)
         c = np.where(np.abs(a - b) <= 1e-12 * np.maximum(a, b), 1.0 / a, c)
-    j = _metric(point.rho.eig.eigenvectors, _tangents(point), c).real
+    j = _metric(point.tangents_eig, c).real
     return QFisherMatrix(point.m, j, np.zeros_like(j), "KM")
 
 
 def rld_fisher(point: FamilyPoint, rank_tol: float = linalg.RANK_TOL) -> QFisherMatrix:
-    """J^R_ij = Tr rho L_j^dag L_i with RLDs L_i: kernel 1/lam_b on the support; Hermitian PSD."""
-    xs = _tangents(point)
-    rld(point.rho, xs, rank_tol=rank_tol)  # raises RldExistenceError if no RLD exists
-    w, u = point.rho.eig
-    inv = np.divide(1.0, w, out=np.zeros_like(w), where=linalg.support_mask(w, rank_tol))
-    j = _metric(u, xs, inv[..., None, :])
+    """J^R_ij = Tr rho L_j^dag L_i with RLDs L_i: kernel 1/lam_b on the support; Hermitian PSD.
+
+    rld() checks existence once per point and rank_tol; a refused point is refused on every call.
+    """
+    if rank_tol not in point.rld_checked:
+        rld(point.rho, point.tangents, rank_tol=rank_tol)  # raises RldExistenceError if no RLD exists
+        point.rld_checked.add(rank_tol)
+    j = _metric(point.tangents_eig, linalg.on_support(np.reciprocal, point.rho.eig.eigenvalues, rank_tol)[..., None, :])
     lam = np.linalg.eigvalsh(j)  # also gives ||J||_F = sqrt(sum lam^2)
-    if (lam[..., 0] < -1e-10 * np.maximum(1.0, np.sqrt((lam * lam).sum(axis=-1)))).any():
+    if (lam[..., 0] < -RLD_PSD_TOL * np.maximum(1.0, np.sqrt((lam * lam).sum(axis=-1)))).any():
         raise ValueError(f"RLD Fisher matrix not PSD: min eigenvalue {lam.min():.3e}")
     return QFisherMatrix.from_complex(j, "RLD")
 
@@ -183,7 +181,7 @@ def rld_imag_diagnostic(point: FamilyPoint) -> dict:
     no equality is asserted since the Hermiticity convention for the
     non-Hermitian L^R is not fixed.
     """
-    ls = rld(point.rho, _tangents(point))
+    ls = rld(point.rho, point.tangents)
     t = np.einsum("iac,kca->ik", point.rho.mat @ ls, ls)  # Tr rho L_i L_k
     comm = -0.5 * (t - t.T).imag
     imag = rld_fisher(point).imag_part

@@ -102,12 +102,18 @@ def load_family_spec(path) -> dict:
     if "kind" not in spec:
         raise SpecFileError(f"{path}: missing required field 'kind'")
     out = dict(spec)
+
+    def field(name, obj):
+        try:
+            return decode_matrix(obj)
+        except SpecFileError as exc:  # name the field, not just the entry
+            raise SpecFileError(f"{out['kind']} spec: field {name!r}: {exc}") from None
     if "rho" in out:
-        out["rho"] = decode_matrix(out["rho"])
+        out["rho"] = field("rho", out["rho"])
     if isinstance(out.get("tangents"), list):  # anything else is refused by name in build_family
-        out["tangents"] = [decode_matrix(t) for t in out["tangents"]]
+        out["tangents"] = [field(f"tangents[{k}]", t) for k, t in enumerate(out["tangents"])]
     if "basis" in out:
-        out["basis"] = decode_matrix(out["basis"])
+        out["basis"] = field("basis", out["basis"])
     return out
 
 

@@ -39,7 +39,11 @@ def frob_each(a: np.ndarray) -> np.ndarray:
 def herm(a: np.ndarray) -> np.ndarray:
     """Hermitian part (A + A^dag)/2 of a matrix or of each member of a (..., d, d) stack."""
     a = np.asarray(a)
-    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+    # A^dag written in C order, then A added in place: adding A to the strided view is several times slower
+    h = np.conjugate(a.swapaxes(-1, -2), order="C", dtype=np.result_type(a.dtype, 0.5))
+    h += a
+    h *= 0.5
+    return h
 
 
 def _rebuild(w: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -80,18 +84,26 @@ def eig_hermitian(h: np.ndarray) -> SpectralDecomposition:
 
 
 def support_mask(w: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Eigenvalues with |lambda| >= rank_tol * max |lambda| of their own spectrum (last axis)."""
-    mag = np.abs(w)
-    lam_max = mag.max(axis=-1, keepdims=True, initial=0.0)
-    return (mag >= rank_tol * lam_max) & (lam_max > 0)
+    """Eigenvalues with lambda >= rank_tol * lambda_max > 0 (signed) of their own spectrum (last axis)."""
+    lam_max = w.max(axis=-1, keepdims=True, initial=0.0)
+    return (w >= rank_tol * lam_max) & (lam_max > 0)
+
+
+def on_support(fn, w: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+    """fn(lambda) on the support of the spectrum w (last axis), 0 off it."""
+    sup = support_mask(w, rank_tol)
+    return np.where(sup, fn(np.where(sup, w, 1.0)), 0.0)
 
 
 def support_leak(x: np.ndarray, w: np.ndarray, u: np.ndarray, rank_tol: float = RANK_TOL):
     """(||X - P X P||_F, P X P) with P the projector onto the support of the spectrum (w, u).
 
-    Stacks broadcast: the norm is per member.
+    Stacks broadcast: the norm is per member.  On a full support P = I: the leak is exactly 0, P X P is X.
     """
-    p = _rebuild(support_mask(w, rank_tol), u)
+    sup = support_mask(w, rank_tol)
+    if sup.all():
+        return np.zeros(np.broadcast_shapes(x.shape[:-2], w.shape[:-1])), x
+    p = _rebuild(sup, u)
     pxp = p @ x @ p
     return frob_each(x - pxp), pxp
 
@@ -99,26 +111,19 @@ def support_leak(x: np.ndarray, w: np.ndarray, u: np.ndarray, rank_tol: float = 
 def spectral_function(w, u, f, rank_tol: float = RANK_TOL, strict: bool = False) -> np.ndarray:
     """Apply a spectral function to the Hermitian matrix (or stack) with spectrum (w, u).
 
-    f is one of "sqrt", "log", "inverse", or ("power", t).  For log,
-    inverse and negative powers the function acts only on eigenvalues
-    >= rank_tol * lambda_max; smaller ones map to 0 (pseudo-function).
-    With strict=True, a below-support eigenvalue raises instead for log,
-    inverse and negative powers.
+    f is one of "sqrt", "log", "inverse", or ("power", t), applied on the support (support_mask);
+    other eigenvalues map to 0 (pseudo-function).  With strict=True, log, inverse and
+    negative powers raise on a spectrum with eigenvalues off the support.
     """
-    if f == "sqrt":
-        fn = lambda v: np.sqrt(np.clip(v, 0.0, None))
-    elif f in ("log", "inverse"):
-        fn = np.log if f == "log" else np.reciprocal
-    elif isinstance(f, tuple) and len(f) == 2 and f[0] == "power":
-        fn = lambda v: np.power(v, float(f[1]))
+    if isinstance(f, tuple) and len(f) == 2 and f[0] == "power":
+        fn, singular = (lambda v: np.power(v, float(f[1]))), float(f[1]) < 0
+    elif f in ("sqrt", "log", "inverse"):
+        fn, singular = {"sqrt": np.sqrt, "log": np.log, "inverse": np.reciprocal}[f], f != "sqrt"
     else:
         raise ValueError(f"unknown matrix function {f!r}")
-    sup = support_mask(w, rank_tol)
-    if strict and (f in ("log", "inverse") or (f != "sqrt" and float(f[1]) < 0)) and not sup.all():
+    if strict and singular and not support_mask(w, rank_tol).all():
         raise RankDeficiencyError(f"{f!r} requested on a rank-deficient matrix")
-    fw = np.zeros_like(w)
-    fw[sup] = fn(w[sup])
-    return herm(_rebuild(fw, u))
+    return herm(_rebuild(on_support(fn, w, rank_tol), u))
 
 
 def matrix_function(h, f, rank_tol: float = RANK_TOL, strict: bool = False) -> np.ndarray:

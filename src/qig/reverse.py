@@ -57,16 +57,18 @@ class LocalReverseEstimate:
 def local_reverse_estimate(point: FamilyPoint) -> LocalReverseEstimate:
     """Optimal local reverse estimation of a 1-dim family at theta0.
 
-    Diagonalize A = rho^(-1/2) drho rho^(-1/2) = U Lam U^dag; the
-    ensemble columns are rho^(1/2) u_x with weights their squared norms
-    and scores the eigenvalues.  Input Fisher equals J^R.
+    Diagonalize A = rho^(-1/2) drho rho^(-1/2) in the eigenbasis of rho = U Lam U^dag,
+    Lam^(-1/2) X~ Lam^(-1/2) = V diag(a) V^dag; the ensemble columns are U Lam^(1/2) V
+    with weights their squared norms and scores a.  Input Fisher equals J^R.
     """
     if point.m != 1:
         raise ValueError("local reverse estimation is defined for 1-dim families")
     if not point.rho.is_full_rank():
         raise RankDeficiencyError("local reverse estimation requires a full-rank state")
-    lam, u = np.linalg.eigh(point.rho.whiten(point.tangents[0]))
-    return LocalReverseEstimate(Ensemble.from_columns(point.rho.func("sqrt") @ u), lam[..., None, :], point.theta)
+    w, u = point.rho.eig
+    lam, v = np.linalg.eigh(point.tangents_eig[0] / np.sqrt(w[..., :, None] * w[..., None, :]))
+    cols = u @ (np.sqrt(w)[..., :, None] * v)
+    return LocalReverseEstimate(Ensemble.from_columns(cols), lam[..., None, :], point.theta)
 
 
 def input_fisher(lre: LocalReverseEstimate) -> QFisherMatrix:

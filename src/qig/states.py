@@ -8,6 +8,7 @@ state is recovered as W W^dag and the ancilla-side state as W^dag W.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -75,30 +76,27 @@ TANGENT_TRACE_TOL = 1e-10
 
 @dataclass(eq=False)
 class FamilyPoint:
-    """Local data of a state family: theta, rho_theta and its tangents, each shaped like rho.mat."""
+    """Local data of a state family: theta, rho_theta and its tangents as one read-only (m, ..., d, d) array."""
 
     theta: np.ndarray
     rho: DensityMatrix
-    tangents: list[np.ndarray]
+    tangents: np.ndarray
+    rld_checked: set = field(default_factory=set, init=False, repr=False)  # rank_tols at which rld() passed
 
     def __post_init__(self):
         self.theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
-        tangents = []
-        for x in self.tangents:
-            x = np.asarray(x, dtype=complex)
-            if x.shape != self.rho.mat.shape:
-                raise DimensionMismatchError(
-                    f"tangent shape {x.shape} does not match state {self.rho.mat.shape}"
-                )
-            tr = np.max(np.abs(np.trace(x, axis1=-2, axis2=-1)))
-            if tr > TANGENT_TRACE_TOL:
-                raise ValueError(f"tangent trace {tr:.3e} exceeds {TANGENT_TRACE_TOL}")
-            tangents.append(herm(x))
-        self.tangents = tangents
-        if len(self.tangents) != len(self.theta):
-            raise DimensionMismatchError(
-                f"{len(self.tangents)} tangents for {len(self.theta)} parameters"
-            )
+        shape = self.rho.mat.shape
+        xs = [np.asarray(x, dtype=complex) for x in self.tangents]
+        if any(x.shape != shape for x in xs):
+            raise DimensionMismatchError(f"tangent shapes {[x.shape for x in xs]} do not all match state {shape}")
+        xs = np.array(xs, dtype=complex).reshape(len(xs), *shape)
+        tr = np.max(np.abs(np.trace(xs, axis1=-2, axis2=-1)), initial=0.0)
+        if tr > TANGENT_TRACE_TOL:
+            raise ValueError(f"tangent trace {tr:.3e} exceeds {TANGENT_TRACE_TOL}")
+        if len(xs) != len(self.theta):
+            raise DimensionMismatchError(f"{len(xs)} tangents for {len(self.theta)} parameters")
+        self.tangents = herm(xs)
+        self.tangents.flags.writeable = False
 
     @property
     def m(self) -> int:
@@ -107,6 +105,13 @@ class FamilyPoint:
     @property
     def dim(self) -> int:
         return self.rho.dim
+
+    @cached_property
+    def tangents_eig(self) -> np.ndarray:
+        """X~ = U^dag X U of every tangent, U the eigenvectors of rho; read-only, computed once."""
+        xt = self.rho.eig.eigenvectors.conj().swapaxes(-1, -2) @ self.tangents @ self.rho.eig.eigenvectors
+        xt.flags.writeable = False
+        return xt
 
 
 @dataclass(eq=False)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from qig import cli, io
+from qig import cli, fisher, harness, io
 from qig.harness import SuiteReport
 from qig.reverse import ORACLE_GAP_TOL
 
@@ -245,6 +245,24 @@ class TestExitCodesAndSeeds:
         cli.main(["fisher", "--family", bloch_spec, "--seed", "3", "--out", str(out)])
         assert json.loads(out.read_text())["seed"] == 777
 
+    def test_fisher_psd_slack_reads_enforced_constant(self, bloch_spec, tmp_path, monkeypatch):
+        out = tmp_path / "r.json"
+        assert cli.main(["fisher", "--family", bloch_spec, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["results"]["tolerances"]["psd_slack"] == fisher.RLD_PSD_TOL
+        monkeypatch.setattr(fisher, "RLD_PSD_TOL", 3.5e-9)
+        assert cli.main(["fisher", "--family", bloch_spec, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["results"]["tolerances"]["psd_slack"] == 3.5e-9
+
+    def test_monotone_slack_reads_enforced_constant(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "r.json"
+        argv = ["monotone", "--trials", "2", "--dims", "2", "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert json.loads(out.read_text())["results"]["tolerances"]["slack"] == harness.METRIC_SLACK_TOL
+        monkeypatch.setattr(harness, "METRIC_SLACK_TOL", 2.5e-7)
+        assert cli.main(argv) == 0
+        assert json.loads(out.read_text())["results"]["tolerances"]["slack"] == 2.5e-7
+
     def test_sidecar_report_path(self, bloch_spec, capsys):
         assert cli.main(["fisher", "--family", bloch_spec]) == 0
         sidecar = bloch_spec.replace(".json", ".report.json")
@@ -298,6 +316,19 @@ class TestSpecErrors:
     def test_wrong_field_type_named(self, cmd, spec, name, tmp_path, capsys):
         path = write_json(tmp_path / "s.json", spec)
         self._fails([cmd, "--family", path], capsys, spec["kind"], repr(name))
+
+    @pytest.mark.parametrize("spec, name", [
+        ({"kind": "explicit", "rho": [[0.5, 0], [0, "x"]], "tangents": [[[0.0, 0.5], [0.5, 0.0]]]}, "rho"),
+        ({"kind": "explicit", "rho": [[0.5, 0], [0, 0.5]], "tangents": [[[0.0, 0.5], [0.5, 0.0]], [[0, None], [1, 0]]]},
+         "tangents[1]"),
+        ({"kind": "explicit", "rho": "x", "tangents": []}, "rho"),
+        ({"kind": "fixed_basis", "basis": [[1, 0], [0, [1, 2, 3]]], "prob_table": [[0.5, 0.5]],
+          "theta_grid": [0.0]}, "basis"),
+    ])
+    def test_undecodable_matrix_named(self, spec, name, tmp_path, capsys):
+        path = write_json(tmp_path / "s.json", spec)
+        cmd = "global" if spec["kind"] == "fixed_basis" else "fisher"
+        self._fails([cmd, "--family", path], capsys, spec["kind"], f"field {name!r}", "cannot decode matrix")
 
     @pytest.mark.parametrize("step", ["x", 0.0, [1e-4]])
     def test_bad_derivative_step_named(self, step, tmp_path, capsys):
@@ -369,22 +400,23 @@ class TestSpecFuzz:
                 for i in head:
                     parent = parent[i]
                 parent[last] = pick(self.BAD_ENTRIES)
-                yield f"{key}{[*head, last]} = {parent[last]!r}", json.dumps(spec)
+                field = f"tangents[{[*head, last][0]}]" if key == "tangents" else key
+                yield f"{key}{[*head, last]} = {parent[last]!r}", field, json.dumps(spec)
             elif how == "drop":
                 key = pick(list(spec))
                 del spec[key]
-                yield f"drop {key}", json.dumps(spec)
+                yield f"drop {key}", key, json.dumps(spec)
             elif how == "type":
                 key = pick(list(spec))
                 spec[key] = pick(self.BAD_VALUES)
-                yield f"{key} = {spec[key]!r}", json.dumps(spec)
+                yield f"{key} = {spec[key]!r}", key, json.dumps(spec)
             else:
                 text = json.dumps(spec)
-                yield "truncated", text[: rng.integers(len(text))]
+                yield "truncated", None, text[: rng.integers(len(text))]
 
     def test_mutated_specs_exit_cleanly(self, tmp_path, capsys):
         path, out = tmp_path / "spec.json", str(tmp_path / "r.json")
-        for desc, text in self._mutations(200):
+        for desc, field, text in self._mutations(200):
             path.write_text(text, encoding="utf-8")
             for cmd in ("fisher", "reverse", "global", "bound"):
                 try:
@@ -394,3 +426,5 @@ class TestSpecFuzz:
                 err = capsys.readouterr().err
                 assert rc in (0, 1, 2), (cmd, desc, rc)
                 assert rc != 1 or err.startswith("error:"), (cmd, desc, err)
+                # a matrix that cannot be decoded is named by its field, not just its entry
+                assert "cannot decode matrix" not in err or f"field '{field}" in err, (cmd, desc, err)

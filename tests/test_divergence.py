@@ -65,6 +65,15 @@ class TestUmegaki:
         sigma = DensityMatrix(np.diag([1.0, 0.0]))
         assert umegaki(rho, sigma) == math.inf
 
+    def test_rounding_negative_eigenvalue_off_support(self):
+        """sigma's -9e-13 eigenvalue is outside its support: finite value, the KL of the diagonals."""
+        rho = DensityMatrix(np.diag([0.5, 0.5, 0.0]))
+        sigma = DensityMatrix(np.diag([0.6, 0.4, -9e-13]))
+        want = kl([0.5, 0.5], [0.6, 0.4])
+        assert want == pytest.approx(0.0204110, abs=1e-7)
+        assert umegaki(rho, sigma) == pytest.approx(want, rel=1e-12)
+        assert rld_divergence(rho, sigma) == pytest.approx(want, rel=1e-12)
+
 
 class TestRldDivergence:
     def test_equal_states(self):

@@ -11,6 +11,7 @@ from qig.linalg import (
     matrix_function,
     solve_lyapunov,
     spabs,
+    support_mask,
     trace_norm,
 )
 
@@ -134,6 +135,10 @@ class TestMatrixFunction:
             matrix_function(h, "log", strict=True)
         with pytest.raises(RankDeficiencyError):
             matrix_function(h, "inverse", strict=True)
+
+    def test_support_rule_is_signed(self):
+        assert support_mask(np.array([0.6, 0.4, -9e-13])).tolist() == [True, True, False]
+        assert support_mask(np.array([-1.0, -0.5])).tolist() == [False, False]
 
     def test_unknown_function(self):
         with pytest.raises(ValueError):

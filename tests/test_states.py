@@ -46,6 +46,13 @@ class TestDensityMatrix:
         rho = DensityMatrix(np.diag([0.25, 0.75]))
         assert np.allclose(rho.func("inverse"), np.diag([4.0, 4.0 / 3.0]))
 
+    def test_func_skips_rounding_negative_eigenvalue(self):
+        """PSD_FLOOR admits -9e-13; the support rule is signed, so log and inverse stay finite."""
+        rho = DensityMatrix(np.diag([0.6, 0.4, -9e-13]))
+        assert np.allclose(rho.func("log"), np.diag([np.log(0.6), np.log(0.4), 0.0]), atol=1e-15)
+        assert np.allclose(rho.func("inverse"), np.diag([1 / 0.6, 1 / 0.4, 0.0]), atol=1e-15)
+        assert np.allclose(rho.func(("power", -0.5)), np.diag([0.6 ** -0.5, 0.4 ** -0.5, 0.0]), atol=1e-15)
+
 
 class TestAmplitude:
     def test_canonical_half_identity(self):
