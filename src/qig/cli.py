@@ -23,11 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, io
-from .divergence import (
-    rld_divergence,
-    rld_divergence_integral,
-    two_point_reverse_estimate,
-)
+from .divergence import rld_divergence, rld_divergence_integral, two_point_reverse_estimate, umegaki
 from .errors import ConvergenceError, NotReverseEstimableError, QigError, SpecFileError
 from .families import build_family
 from .fisher import km_fisher, rld_fisher, sld_fisher
@@ -37,7 +33,6 @@ from .harness import (
     monotone_divergence_suite,
     monotone_metric_suite,
 )
-from .divergence import umegaki
 from .reverse import (
     ORACLE_GAP_TOL,
     global_commutation_check,
@@ -50,7 +45,7 @@ from .reverse import (
     validate_reverse_estimate,
 )
 from .states import DensityMatrix
-from . import fisher, harness  # last: loading harness before divergence slows a cold import by ~50 ms
+from . import divergence, fisher, harness  # last: loading harness before divergence slows a cold import by ~50 ms
 
 
 def _fmt(x) -> str:
@@ -209,20 +204,25 @@ def _cmd_divergence(args) -> int:
     du = umegaki(rho, sigma)
     dr = rld_divergence(rho, sigma)
     di = rld_divergence_integral(rho, sigma, args.steps)
-    tp = two_point_reverse_estimate(rho, sigma)
-    tkl = tp.input_kl()
+    tkl = two_point_reverse_estimate(rho, sigma).input_kl()
+    # each against the tolerance the code enforces; a negative margin fails and exits 2
+    checks = [{"name": n, "value": abs(v), "tolerance": tol, "margin": tol - abs(v), "passed": bool(abs(v) <= tol)}
+              for n, v, tol in (("integral_vs_closed", di - dr, divergence.INTEGRAL_TOL),
+                                ("two_point_equality", tkl - dr, divergence.TWO_POINT_TOL))]
     print(f"umegaki      : {_fmt(du)}")
     print(f"rld closed   : {_fmt(dr)}")
-    print(f"rld integral : {_fmt(di)}   (steps {args.steps}, minus closed {_fmt(di - dr)})")
+    print(f"rld integral : {_fmt(di)}   ({args.steps + 1} evaluations, minus closed {_fmt(di - dr)})")
     print(f"two-point KL : {_fmt(tkl)}")
+    for c in checks:
+        print(f"check {c['name']}: {'pass' if c['passed'] else 'FAIL'} (margin {_fmt(c['margin'])})")
     results = {
-        "umegaki": du, "rld_closed": dr, "rld_integral": di,
-        "integral_minus_closed": di - dr, "steps": args.steps, "two_point_kl": tkl,
-        "tolerances": {"integral_vs_closed": 1e-5, "two_point_equality": 1e-9},
+        "umegaki": du, "rld_closed": dr, "rld_integral": di, "integral_minus_closed": di - dr,
+        "steps": args.steps, "evaluations": args.steps + 1, "two_point_kl": tkl, "checks": checks,
+        "tolerances": {c["name"]: c["tolerance"] for c in checks},
     }
     _write_report(_report_path(args, args.rho, "divergence"), sys.argv[1:], _resolve_seed(args),
                   {"rho": rho.mat, "sigma": sigma.mat}, results)
-    return 0
+    return 0 if all(c["passed"] for c in checks) else 2
 
 
 def _cmd_bound(args) -> int:

@@ -20,18 +20,20 @@ TRACE_TOL = 1e-12
 PSD_FLOOR = -1e-12
 
 
+def check_traces(tr) -> None:
+    """Raise ValueError unless every trace in tr (a scalar or an array) is 1 within TRACE_TOL."""
+    dev = np.abs(tr - 1.0)
+    if (dev if np.ndim(dev) == 0 else dev.max()) > TRACE_TOL:
+        raise ValueError(f"trace {np.ravel(tr)[np.argmax(dev)]!r} deviates from 1 by more than {TRACE_TOL}")
+
+
 def check_states(mats: np.ndarray) -> linalg.SpectralDecomposition:
     """Spectrum of a Hermitian matrix or (..., d, d) stack whose members must be states.
 
     Raises ValueError unless every member has unit trace within TRACE_TOL
-    and no eigenvalue below PSD_FLOOR.
+    (check_traces) and no eigenvalue below PSD_FLOOR.
     """
-    tr = np.trace(mats, axis1=-2, axis2=-1).real
-    dev = np.abs(tr - 1.0)
-    if (dev if mats.ndim == 2 else dev.max()) > TRACE_TOL:
-        raise ValueError(
-            f"trace {np.ravel(tr)[np.argmax(dev)]!r} deviates from 1 by more than {TRACE_TOL}"
-        )
+    check_traces(np.trace(mats, axis1=-2, axis2=-1).real)
     eig = eig_hermitian(mats)
     lam_min = eig.eigenvalues.min()
     if lam_min < PSD_FLOOR:

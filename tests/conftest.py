@@ -30,3 +30,23 @@ def commuting_point(probs, dprobs):
     return FamilyPoint(
         [0.0], DensityMatrix(np.diag(probs).astype(complex)), [np.diag(dprobs).astype(complex)]
     )
+
+
+def haar(d, rng):
+    """Haar-random d x d unitary."""
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def geometric(d, kappa, zeros=0):
+    """Spectrum lambda_k = kappa^(-k/(d-1)) on d - zeros entries, then `zeros` exact zeros, normalized."""
+    n = d - zeros
+    lam = kappa ** (-np.arange(n) / max(n - 1.0, 1.0))
+    return np.concatenate([lam, np.zeros(zeros)]) / lam.sum()
+
+
+def state(u, lam):
+    """U diag(lam) U^dag, Hermitian to rounding."""
+    rho = (u * lam) @ u.conj().T
+    return 0.5 * (rho + rho.conj().T)

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from qig import cli, fisher, harness, io
+from qig import cli, divergence, fisher, harness, io
 from qig.harness import SuiteReport
 from qig.reverse import ORACLE_GAP_TOL
 
@@ -140,6 +140,38 @@ class TestDivergenceCommand:
         assert res["integral_minus_closed"] == res["rld_integral"] - res["rld_closed"]
         assert abs(res["integral_minus_closed"]) <= res["tolerances"]["integral_vs_closed"]
         assert res["two_point_kl"] == pytest.approx(res["rld_closed"], abs=1e-9)
+        assert res["evaluations"] == 2001
+        assert [c["name"] for c in res["checks"]] == ["integral_vs_closed", "two_point_equality"]
+        for c in res["checks"]:
+            assert c["passed"] and c["margin"] == c["tolerance"] - c["value"] >= 0
+            assert c["tolerance"] == res["tolerances"][c["name"]]
+
+    @pytest.mark.parametrize("steps", ["0", "-3"])
+    def test_steps_below_one_is_input_error(self, qubit_pair, capsys, steps):
+        rho, sigma = qubit_pair
+        assert cli.main(["divergence", "--rho", rho, "--sigma", sigma, "--steps", steps]) == 1
+        assert "steps" in capsys.readouterr().err
+
+    def test_tolerances_read_enforced_constants(self, qubit_pair, tmp_path, monkeypatch):
+        rho, sigma = qubit_pair
+        out = tmp_path / "d.json"
+        argv = ["divergence", "--rho", rho, "--sigma", sigma, "--steps", "500", "--out", str(out)]
+        monkeypatch.setattr(divergence, "INTEGRAL_TOL", 2.5e-4)
+        monkeypatch.setattr(divergence, "TWO_POINT_TOL", 3.5e-9)
+        assert cli.main(argv) == 0
+        res = json.loads(out.read_text())["results"]
+        assert res["tolerances"] == {"integral_vs_closed": 2.5e-4, "two_point_equality": 3.5e-9}
+        assert [c["tolerance"] for c in res["checks"]] == [2.5e-4, 3.5e-9]
+
+    def test_failed_check_exits_2(self, qubit_pair, tmp_path, monkeypatch):
+        rho, sigma = qubit_pair
+        out = tmp_path / "d.json"
+        monkeypatch.setattr(cli, "rld_divergence_integral", lambda r, s, steps: divergence.rld_divergence(r, s) + 1e-3)
+        assert cli.main(["divergence", "--rho", rho, "--sigma", sigma, "--out", str(out)]) == 2
+        integral, two_point = json.loads(out.read_text())["results"]["checks"]
+        assert not integral["passed"] and integral["margin"] < 0
+        assert integral["value"] == pytest.approx(1e-3)
+        assert two_point["passed"]
 
 
 class TestBoundAndGaussian:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.linalg import logm
 
-from qig import divergence
 from qig.channels import random_density, random_kraus
 from qig.divergence import (
     kl,
@@ -18,7 +17,9 @@ from qig.errors import RankDeficiencyError
 from qig.linalg import frob
 from qig.states import DensityMatrix
 
-from conftest import random_qubit_pair
+from conftest import geometric, haar, random_qubit_pair, state
+
+EPS = np.finfo(float).eps
 
 
 class TestKl:
@@ -133,30 +134,67 @@ class TestIntegralForm:
         return h * (sum(vals) - 0.5 * (vals[0] + vals[-1])) + eps * (vals[0] + vals[-1])
 
     def test_matches_per_point_loop(self):
-        """The stacked grid agrees with one DensityMatrix per grid point."""
+        """The one-decomposition integrand agrees with one DensityMatrix per grid point."""
         for seed in (40, 41):
             rng = np.random.default_rng(seed)
             rho, sigma = random_density(3, rng), random_density(3, rng)
             ref = self.per_point_loop(rho, sigma, 64)
             assert rld_divergence_integral(rho, sigma, 64) == pytest.approx(ref, abs=1e-14)
 
-    def test_blocked_grid_matches_per_point_loop(self, monkeypatch):
-        """Blocks of 4 states (17 blocks, the last a single state) change nothing."""
-        monkeypatch.setattr(divergence, "INTEGRAL_BLOCK_ENTRIES", 4 * 9 + 8)
-        rng = np.random.default_rng(42)
-        rho, sigma = random_density(3, rng), random_density(3, rng)
-        ref = self.per_point_loop(rho, sigma, 64)
-        assert rld_divergence_integral(rho, sigma, 64) == pytest.approx(ref, abs=1e-14)
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    @pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6])
+    def test_pencil_matches_per_point_loop_conditioned(self, d, kappa):
+        """The one-decomposition integrand against per-node inversion, same rule, within c kappa eps."""
+        rng = np.random.default_rng([d, int(math.log10(kappa)), 5])
+        pairs = [
+            (state(haar(d, rng), geometric(d, kappa)), state(haar(d, rng), geometric(d, kappa))),
+            # rank-deficient rho against full-rank sigma
+            (state(haar(d, rng), geometric(d, kappa, zeros=1)), state(haar(d, rng), geometric(d, kappa))),
+        ]
+        if d > 2:  # rho inside the support of a rank-deficient sigma, in another basis of it
+            u, v = haar(d, rng), np.eye(d, dtype=complex)
+            v[: d - 1, : d - 1] = haar(d - 1, rng)
+            pairs.append((state(u @ v, geometric(d, kappa, zeros=1)), state(u, geometric(d, kappa, zeros=1))))
+        for r, s in pairs:
+            rho, sigma = DensityMatrix(r), DensityMatrix(s)
+            ref = self.per_point_loop(rho, sigma, 64)
+            assert rld_divergence_integral(rho, sigma, 64) == pytest.approx(ref, rel=4 * kappa * EPS)
 
-    def test_blocked_grid_checks_each_state(self, monkeypatch):
-        """Grid points after the first block still get the per-point trace check."""
-        monkeypatch.setattr(divergence, "INTEGRAL_BLOCK_ENTRIES", 4 * 4)
+    def test_one_eigendecomposition_whatever_steps(self, monkeypatch):
+        """Beyond the cached spectra of rho and sigma, one eigh call per integral at any grid size."""
+        rng = np.random.default_rng(43)
+        rho, sigma = random_density(16, rng), random_density(16, rng)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: calls.append(a.shape) or eigh(a, *args, **kw))
+        counts = []
+        for steps in (64, 4000):
+            calls.clear()
+            rld_divergence_integral(rho, sigma, steps)
+            counts.append(len(calls))
+        assert counts == [1, 1]
+
+    def test_blocked_grid_checks_each_state(self):
+        """Every grid node gets the trace check, not only the first."""
         rho = DensityMatrix(np.diag([0.7, 0.3]))
         sigma = DensityMatrix(np.diag([0.4, 0.6]))
         # trace of rho_s is 1 + 1e-11 s: only points with s > 0.1 break TRACE_TOL
         rho.mat = rho.mat * (1.0 + 1e-11)
         with pytest.raises(ValueError, match="trace"):
             rld_divergence_integral(rho, sigma, 64)
+
+    def test_indefinite_node_raises(self):
+        """A node that is not positive definite on supp sigma is refused, as check_states refuses it."""
+        rho = DensityMatrix(np.diag([0.7, 0.3]))
+        rho.mat = np.diag([1.2, -0.2]).astype(complex)  # trace one, one negative eigenvalue
+        with pytest.raises(ValueError):
+            rld_divergence_integral(rho, DensityMatrix(0.5 * np.eye(2)), 64)
+
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_steps_below_one_named(self, steps):
+        rho, sigma = random_qubit_pair(14)
+        with pytest.raises(ValueError, match="steps"):
+            rld_divergence_integral(rho, sigma, steps)
 
     def test_support_violation_inf(self):
         rho = DensityMatrix(0.5 * np.eye(2))

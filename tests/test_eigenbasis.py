@@ -21,23 +21,7 @@ from qig.linalg import RANK_TOL, support_leak
 from qig.reverse import local_reverse_estimate
 from qig.states import DensityMatrix, FamilyPoint
 
-
-def haar(d, rng):
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def geometric(d, kappa, zeros=0):
-    """Spectrum lambda_k = kappa^(-k/(d-1)) on d - zeros entries, then `zeros` exact zeros, normalized."""
-    n = d - zeros
-    lam = kappa ** (-np.arange(n) / max(n - 1.0, 1.0))
-    return np.concatenate([lam, np.zeros(zeros)]) / lam.sum()
-
-
-def state(u, lam):
-    rho = (u * lam) @ u.conj().T
-    return 0.5 * (rho + rho.conj().T)
+from conftest import geometric, haar, state
 
 
 def tangent(d, rng):
