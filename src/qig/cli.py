@@ -45,7 +45,7 @@ from .reverse import (
     validate_reverse_estimate,
 )
 from .states import DensityMatrix
-from . import divergence, fisher, harness  # last: loading harness before divergence slows a cold import by ~50 ms
+from . import divergence, fisher, harness, reverse  # last: loading harness before divergence slows a cold import by ~50 ms
 
 
 def _fmt(x) -> str:
@@ -198,31 +198,51 @@ def _cmd_monotone(args) -> int:
     return 0 if met.passed and div.passed else 2
 
 
+def _check(name, value, tol) -> dict:
+    """One report check against the tolerance the code enforces; a negative margin fails."""
+    return {"name": name, "value": value, "tolerance": tol, "margin": tol - value, "passed": bool(value <= tol)}
+
+
+def _skipped(name, tol, reason) -> dict:
+    return {"name": name, "value": None, "tolerance": tol, "margin": None, "passed": None, "skipped": reason}
+
+
+def _print_checks(checks) -> None:
+    for c in checks:
+        if c["passed"] is None:
+            print(f"check {c['name']}: skipped ({c['skipped']})")
+        else:
+            print(f"check {c['name']}: {'pass' if c['passed'] else 'FAIL'} (margin {_fmt(c['margin'])})")
+
+
 def _cmd_divergence(args) -> int:
     rho = DensityMatrix(io.load_density(args.rho))
     sigma = DensityMatrix(io.load_density(args.sigma))
     du = umegaki(rho, sigma)
     dr = rld_divergence(rho, sigma)
     di = rld_divergence_integral(rho, sigma, args.steps)
-    tkl = two_point_reverse_estimate(rho, sigma).input_kl()
-    # each against the tolerance the code enforces; a negative margin fails and exits 2
-    checks = [{"name": n, "value": abs(v), "tolerance": tol, "margin": tol - abs(v), "passed": bool(abs(v) <= tol)}
-              for n, v, tol in (("integral_vs_closed", di - dr, divergence.INTEGRAL_TOL),
-                                ("two_point_equality", tkl - dr, divergence.TWO_POINT_TOL))]
+    diff = 0.0 if di == dr else di - dr  # both inf off supp sigma: agreement, not inf - inf = nan
+    checks = [_check("integral_vs_closed", abs(diff), divergence.INTEGRAL_TOL)]
+    if sigma.is_full_rank():
+        tkl = two_point_reverse_estimate(rho, sigma).input_kl()
+        checks.append(_check("two_point_equality", abs(tkl - dr), divergence.TWO_POINT_TOL))
+    else:
+        tkl = None
+        checks.append(_skipped("two_point_equality", divergence.TWO_POINT_TOL,
+                               "two-point reverse estimation requires full-rank sigma"))
     print(f"umegaki      : {_fmt(du)}")
     print(f"rld closed   : {_fmt(dr)}")
-    print(f"rld integral : {_fmt(di)}   ({args.steps + 1} evaluations, minus closed {_fmt(di - dr)})")
-    print(f"two-point KL : {_fmt(tkl)}")
-    for c in checks:
-        print(f"check {c['name']}: {'pass' if c['passed'] else 'FAIL'} (margin {_fmt(c['margin'])})")
+    print(f"rld integral : {_fmt(di)}   ({args.steps + 1} evaluations, minus closed {_fmt(diff)})")
+    print(f"two-point KL : {'skipped' if tkl is None else _fmt(tkl)}")
+    _print_checks(checks)
     results = {
-        "umegaki": du, "rld_closed": dr, "rld_integral": di, "integral_minus_closed": di - dr,
+        "umegaki": du, "rld_closed": dr, "rld_integral": di, "integral_minus_closed": diff,
         "steps": args.steps, "evaluations": args.steps + 1, "two_point_kl": tkl, "checks": checks,
         "tolerances": {c["name"]: c["tolerance"] for c in checks},
     }
     _write_report(_report_path(args, args.rho, "divergence"), sys.argv[1:], _resolve_seed(args),
                   {"rho": rho.mat, "sigma": sigma.mat}, results)
-    return 0 if all(c["passed"] for c in checks) else 2
+    return 2 if any(c["passed"] is False for c in checks) else 0  # a skipped check (passed None) does not count
 
 
 def _cmd_bound(args) -> int:
@@ -238,7 +258,7 @@ def _cmd_bound(args) -> int:
         "weight": io.encode_matrix(g),
         "reverse_bound": mb.reverse,
         "estimation_bound": mb.estimation,
-        "tolerances": {"oracle_relative": 1e-3, "oracle_gap": ORACLE_GAP_TOL},
+        "tolerances": {"oracle_relative": reverse.ORACLE_REL_TOL, "oracle_gap": ORACLE_GAP_TOL},
     }
     try:
         res = min_trace_oracle(jr, g)
@@ -246,6 +266,7 @@ def _cmd_bound(args) -> int:
         # a singular weight may leave the minimum unattained; the bounds stand
         print(f"min-trace oracle         : not certified ({exc})")
         results["oracle_error"] = str(exc)
+        checks = [_skipped("oracle_vs_closed", reverse.ORACLE_REL_TOL, "oracle not certified")]
     else:
         rel = abs(res.value - mb.reverse) / max(1e-15, abs(mb.reverse))
         print(f"min-trace oracle         : [{_fmt(res.dual)}, {_fmt(res.value)}]  "
@@ -254,8 +275,11 @@ def _cmd_bound(args) -> int:
         results["oracle_dual"] = res.dual
         results["oracle_gap"] = res.gap
         results["oracle_relative_difference"] = rel
+        checks = [_check("oracle_vs_closed", rel, reverse.ORACLE_REL_TOL)]
+    _print_checks(checks)
+    results["checks"] = checks
     _write_report(_report_path(args, args.family, "bound"), sys.argv[1:], seed, spec, results)
-    return 0
+    return 2 if any(c["passed"] is False for c in checks) else 0  # a skipped check (passed None) does not count
 
 
 def _cmd_gaussian(args) -> int:

@@ -1,10 +1,11 @@
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
 
-from qig import cli, divergence, fisher, harness, io
+from qig import cli, divergence, fisher, harness, io, reverse
 from qig.harness import SuiteReport
 from qig.reverse import ORACLE_GAP_TOL
 
@@ -173,10 +174,32 @@ class TestDivergenceCommand:
         assert integral["value"] == pytest.approx(1e-3)
         assert two_point["passed"]
 
+    @pytest.mark.parametrize("rho, sigma, expect", [
+        ([[1, 0], [0, 0]], [[1, 0], [0, 0]], 0.0),
+        (np.diag([0.5, 0.5, 0.0]).tolist(), np.diag([0.3, 0.7, 0.0]).tolist(), "finite"),
+        ([[0.7, 0.1], [0.1, 0.3]], [[1, 0], [0, 0]], math.inf),
+    ], ids=["equal_pure", "common_support", "off_support"])
+    def test_rank_deficient_sigma_skips_two_point(self, rho, sigma, expect, tmp_path):
+        out = tmp_path / "d.json"
+        argv = ["divergence", "--rho", write_json(tmp_path / "r.json", rho),
+                "--sigma", write_json(tmp_path / "s.json", sigma), "--out", str(out)]
+        assert cli.main(argv) == 0
+        res = json.loads(out.read_text())["results"]
+        values = [res[k] for k in ("umegaki", "rld_closed", "rld_integral")]
+        if expect == "finite":
+            assert all(math.isfinite(v) for v in values)
+        else:
+            assert values == pytest.approx([expect] * 3, abs=1e-12)
+        integral, two_point = res["checks"]
+        assert integral["passed"] and integral["margin"] >= 0
+        assert two_point["passed"] is None and "full-rank" in two_point["skipped"]
+        assert res["two_point_kl"] is None
+
 
 class TestBoundAndGaussian:
-    def test_bound_oracle_agreement(self, tmp_path):
-        spec = write_json(
+    @pytest.fixture
+    def twopar_spec(self, tmp_path):
+        return write_json(
             tmp_path / "twopar.json",
             {
                 "kind": "explicit",
@@ -188,8 +211,10 @@ class TestBoundAndGaussian:
                 "theta": [0.0, 0.0],
             },
         )
+
+    def test_bound_oracle_agreement(self, twopar_spec, tmp_path):
         out = tmp_path / "b.json"
-        assert cli.main(["bound", "--family", spec, "--out", str(out)]) == 0
+        assert cli.main(["bound", "--family", twopar_spec, "--out", str(out)]) == 0
         res = json.loads(out.read_text())["results"]
         assert res["reverse_bound"] >= res["estimation_bound"]
         assert res["oracle_relative_difference"] <= 1e-3
@@ -198,6 +223,31 @@ class TestBoundAndGaussian:
         assert res["oracle_gap"] == res["oracle_value"] - res["oracle_dual"]
         assert res["tolerances"]["oracle_gap"] == ORACLE_GAP_TOL
         assert res["oracle_gap"] <= ORACLE_GAP_TOL * max(1.0, abs(res["oracle_value"]))
+        (check,) = res["checks"]
+        assert check["name"] == "oracle_vs_closed" and check["passed"]
+        assert check["value"] == res["oracle_relative_difference"]
+        assert check["margin"] == check["tolerance"] - check["value"] >= 0
+        assert check["tolerance"] == res["tolerances"]["oracle_relative"] == reverse.ORACLE_REL_TOL
+
+    def test_bound_tolerance_reads_enforced_constant(self, twopar_spec, tmp_path, monkeypatch):
+        out = tmp_path / "b.json"
+        monkeypatch.setattr(reverse, "ORACLE_REL_TOL", 2.5e-4)
+        assert cli.main(["bound", "--family", twopar_spec, "--out", str(out)]) == 0
+        res = json.loads(out.read_text())["results"]
+        assert res["tolerances"]["oracle_relative"] == res["checks"][0]["tolerance"] == 2.5e-4
+
+    def test_bound_failed_check_exits_2(self, twopar_spec, tmp_path, monkeypatch):
+        out = tmp_path / "b.json"
+
+        def corrupted(jr, g):
+            mb = reverse.multiparam_bounds(jr, g)
+            return reverse.MultiparamBounds(1.01 * mb.reverse, mb.estimation)
+
+        monkeypatch.setattr(cli, "multiparam_bounds", corrupted)
+        assert cli.main(["bound", "--family", twopar_spec, "--out", str(out)]) == 2
+        (check,) = json.loads(out.read_text())["results"]["checks"]
+        assert not check["passed"] and check["margin"] < 0
+        assert check["value"] == pytest.approx(0.01 / 1.01, rel=1e-6)
 
     def test_bound_singular_weight_keeps_bounds(self, tmp_path):
         # G = v v^T on m = 3: the minimum is not attained and the oracle
@@ -223,6 +273,8 @@ class TestBoundAndGaussian:
         assert res["reverse_bound"] >= res["estimation_bound"]
         assert res["oracle_error"].startswith("min-trace oracle: gap")
         assert not {"oracle_value", "oracle_dual", "oracle_gap"} & set(res)
+        (check,) = res["checks"]
+        assert check["passed"] is None and check["skipped"]
 
     def test_gaussian_passes(self, tmp_path):
         out = tmp_path / "g.json"
