@@ -16,18 +16,18 @@ import numpy as np
 
 from qig.errors import TruncationError
 from qig.fisher import rld_fisher
-from qig.harness import GaussianSpec, gaussian_closed_form, gaussian_family
+from qig.harness import GaussianSpec, _gaussian_rho, gaussian_closed_form, gaussian_family
 from qig.reverse import multiparam_bounds
 
 
-def main() -> int:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sigma2", type=float, default=1.0)
     ap.add_argument("--hbar", type=float, default=1.0)
     ap.add_argument("--cutoffs", type=str, default="30,40,60,80")
     ap.add_argument("--quad-nodes", type=int, default=61)
     ap.add_argument("--radius-cut", type=float, default=6.0)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     jref = gaussian_closed_form(GaussianSpec(sigma2=args.sigma2, hbar=args.hbar, truncation=20))
     print(f"{'N':>5s} {'leakage':>11s} {'max rel err':>12s} {'reverse bound':>14s} {'time':>7s}")
@@ -42,7 +42,7 @@ def main() -> int:
         except TruncationError as exc:
             print(f"{n:>5d}  {exc}")
             continue
-        leak = abs(1.0 - np.trace(point.rho.mat).real)  # post-normalization, ~0
+        leak = abs(1.0 - _gaussian_rho(spec, spec.theta)[1])  # raw trace, before normalization
         jr = rld_fisher(point)
         err = float(np.max(np.abs(jr.as_complex() - jref) / np.abs(jref)))
         bound = multiparam_bounds(jr, np.eye(2)).reverse

@@ -187,7 +187,7 @@ def kraus_from(g: np.ndarray, dim: int) -> KrausChannel:
 def povm_from(g: np.ndarray) -> POVM:
     """Elements S G_k G_k^dag S with S = (sum_k G_k G_k^dag)^(-1/2), from g[..., k, :, :]."""
     raw = g @ g.conj().swapaxes(-1, -2)
-    s = matrix_function(herm(raw.sum(axis=-3)), ("power", -0.5))[..., None, :, :]
+    s = matrix_function(herm(raw.sum(axis=-3)), lambda v: v ** -0.5)[..., None, :, :]
     return POVM(list(np.moveaxis(herm(s @ raw @ s), -3, 0)))
 
 

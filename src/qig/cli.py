@@ -144,7 +144,7 @@ def _cmd_reverse(args) -> int:
         "gap": rep.gap,
         "rho_residual": rep.rho_residual,
         "tangent_residual": rep.tangent_residual,
-        "tolerances": {"residual_cap": 1e-6, "equality": 1e-9},
+        "tolerances": {"residual_cap": reverse.RESIDUAL_CAP, "equality": 1e-9},
     }
     _write_report(_report_path(args, args.family, "reverse"), sys.argv[1:], _resolve_seed(args), spec, results)
     return 0

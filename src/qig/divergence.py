@@ -42,30 +42,30 @@ def kl(p, q) -> float:
     return _inf_where(np.any(live & (q <= 1e-300), axis=-1), terms.sum(axis=-1))
 
 
-def _support_violation(rho: DensityMatrix, sigma: DensityMatrix, rank_tol: float):
-    return linalg.support_leak(rho.mat, *sigma.eig, rank_tol)[0] > linalg.SUPPORT_TOL
+def _support_violation(rho: DensityMatrix, sigma: DensityMatrix):
+    return linalg.support_leak(rho.mat, *sigma.eig)[0] > linalg.SUPPORT_TOL
 
 
-def umegaki(rho: DensityMatrix, sigma: DensityMatrix, rank_tol: float = linalg.RANK_TOL) -> float:
+def umegaki(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Relative entropy Tr rho (log rho - log sigma), on supports, in nats."""
     w = rho.eig.eigenvalues
-    entropy = (w * linalg.on_support(np.log, w, rank_tol)).sum(axis=-1)
-    value = entropy - np.einsum("...ab,...ba->...", rho.mat, sigma.func("log", rank_tol)).real
-    return _inf_where(_support_violation(rho, sigma, rank_tol), value)
+    entropy = (w * linalg.on_support(np.log, w)).sum(axis=-1)
+    value = entropy - np.einsum("...ab,...ba->...", rho.mat, sigma.func(np.log)).real
+    return _inf_where(_support_violation(rho, sigma), value)
 
 
-def rld_divergence(rho: DensityMatrix, sigma: DensityMatrix, rank_tol: float = linalg.RANK_TOL) -> float:
+def rld_divergence(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Tr rho log(rho^(1/2) sigma^(-1) rho^(1/2)) with the log on supp rho, in the eigenbasis of rho.
 
     B = Lam^(1/2) (U_rho^dag U_sigma) diag(mu^+)^(1/2), B B^dag = W diag(tau) W^dag:
     D^R = sum_a lam_a sum_k |W_ak|^2 log tau_k, the log on the support of tau.
     """
     (lam, u_r), (mu, u_s) = rho.eig, sigma.eig
-    b = linalg.on_support(np.sqrt, lam, rank_tol)[..., :, None] * (u_r.conj().swapaxes(-1, -2) @ u_s)
-    b = b * np.sqrt(linalg.on_support(np.reciprocal, mu, rank_tol))[..., None, :]
+    b = linalg.on_support(np.sqrt, lam)[..., :, None] * (u_r.conj().swapaxes(-1, -2) @ u_s)
+    b = b * np.sqrt(linalg.on_support(np.reciprocal, mu))[..., None, :]
     tau, wv = linalg.eig_hermitian(b @ b.conj().swapaxes(-1, -2))
-    value = np.einsum("...a,...ak,...k->...", lam, np.abs(wv) ** 2, linalg.on_support(np.log, tau, rank_tol))
-    return _inf_where(_support_violation(rho, sigma, rank_tol), value)
+    value = np.einsum("...a,...ak,...k->...", lam, np.abs(wv) ** 2, linalg.on_support(np.log, tau))
+    return _inf_where(_support_violation(rho, sigma), value)
 
 
 def rld_divergence_integral(
@@ -81,7 +81,7 @@ def rld_divergence_integral(
     """
     if steps < 1:
         raise ValueError(f"steps must be at least 1, got {steps}")
-    if _support_violation(rho, sigma, linalg.RANK_TOL):
+    if _support_violation(rho, sigma):
         return math.inf
     if frob(rho.mat - sigma.mat) < 1e-14:
         return 0.0
@@ -139,10 +139,8 @@ def two_point_reverse_estimate(rho: DensityMatrix, sigma: DensityMatrix) -> TwoP
     return TwoPointReverseEstimate(ens, p_rho / p_rho.sum(axis=-1, keepdims=True), ens.weights)
 
 
-def split_two_point_estimate(
-    tpre: TwoPointReverseEstimate, seed=0, n_splits: int = 3
-) -> TwoPointReverseEstimate:
-    """Non-minimal variant: randomly split components with uneven weight ratios.
+def split_two_point_estimate(tpre: TwoPointReverseEstimate, seed=0) -> TwoPointReverseEstimate:
+    """Non-minimal variant: randomly split three components with uneven weight ratios.
 
     Each split duplicates a shared state and divides its rho- and
     sigma-weights with independent ratios, so both reconstructions are
@@ -152,7 +150,7 @@ def split_two_point_estimate(
     states = list(tpre.ensemble.states)
     p_rho = list(tpre.p_rho)
     p_sigma = list(tpre.p_sigma)
-    for _ in range(n_splits):
+    for _ in range(3):
         x = int(rng.integers(len(states)))
         a = float(rng.uniform(0.2, 0.8))
         b = float(rng.uniform(0.2, 0.8))

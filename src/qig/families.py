@@ -24,12 +24,13 @@ def bloch_rotation_state(r: float, theta: float) -> DensityMatrix:
     )
 
 
-def bloch_rotation_point(r: float, theta: float, fd_step: float | None = None) -> FamilyPoint:
-    """One-parameter rotation family; J^S = r^2 and J^R = r^2/(1 - r^2)."""
-    if fd_step is not None:
-        return finite_difference_tangents(
-            lambda th: bloch_rotation_state(r, float(th[0])), [theta], fd_step
-        )
+def bloch_rotation_point(r: float, theta: float, step: float | None = None) -> FamilyPoint:
+    """One-parameter rotation family; J^S = r^2 and J^R = r^2/(1 - r^2).
+
+    Analytic tangents, or central differences of the given step.
+    """
+    if step is not None:
+        return finite_difference_tangents(lambda th: bloch_rotation_state(r, float(th[0])), [theta], step)
     tangent = 0.5 * r * (-np.sin(theta) * PAULI_X + np.cos(theta) * PAULI_Y)
     return FamilyPoint([theta], bloch_rotation_state(r, theta), [tangent])
 
@@ -110,17 +111,22 @@ def build_family(spec: dict):
     deriv = field("derivative", default={"mode": "analytic"})
     if not isinstance(deriv, dict):
         raise SpecFileError(f"{kind} spec: field 'derivative' must be an object")
+    mode, step = deriv.get("mode", "analytic"), None
+    if mode == "finite_difference":
+        if "step" not in deriv:
+            raise SpecFileError(f"{kind} spec: finite_difference mode needs field 'derivative.step'")
+        step = float(checked("derivative.step", deriv["step"], float, 0))
+        if step <= 0:
+            raise SpecFileError(f"{kind} spec: field 'derivative.step' must be positive, got {step}")
+    elif mode != "analytic":
+        raise SpecFileError(f"{kind} spec: field 'derivative.mode' must be 'analytic' or 'finite_difference', "
+                            f"got {mode!r}")
     if kind == "explicit":
         rho = DensityMatrix(field("rho", complex, 2))
         tangents = list(field("tangents", complex, 3))
         return FamilyPoint(theta(len(tangents)), rho, tangents)
     if kind == "bloch_rotation":
-        step = deriv.get("step") if deriv.get("mode") == "finite_difference" else None
-        if step is not None:
-            step = float(checked("derivative.step", step, float, 0))
-            if step <= 0:
-                raise SpecFileError(f"{kind} spec: field 'derivative.step' must be positive, got {step}")
-        return bloch_rotation_point(float(field("r", float, 0)), float(theta(1)[0]), fd_step=step)
+        return bloch_rotation_point(float(field("r", float, 0)), float(theta(1)[0]), step)
     if kind == "classical_simplex":
         scores = np.atleast_2d(field("scores", float))
         return classical_simplex_point(field("probs", float, 1), scores, theta(scores.shape[0]))

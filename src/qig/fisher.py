@@ -51,9 +51,6 @@ class QFisherMatrix:
         j = self.real_part[..., 0, 0]
         return float(j) if j.ndim == 0 else j
 
-    def min_eigenvalue(self) -> float:
-        return float(np.min(np.linalg.eigvalsh(self.as_complex())))
-
 
 @dataclass(eq=False)
 class ClassicalFamilyPoint:
@@ -87,7 +84,7 @@ def sld(rho: DensityMatrix, x: np.ndarray) -> np.ndarray:
     return solve_lyapunov(rho.mat, x)
 
 
-def rld(rho: DensityMatrix, x: np.ndarray, rank_tol: float = linalg.RANK_TOL) -> np.ndarray:
+def rld(rho: DensityMatrix, x: np.ndarray) -> np.ndarray:
     """Right logarithmic derivative L = X rho^+ on the support of rho.
 
     Exists iff X has no weight outside the support; the out-of-support
@@ -96,10 +93,10 @@ def rld(rho: DensityMatrix, x: np.ndarray, rank_tol: float = linalg.RANK_TOL) ->
     """
     x = np.asarray(x, dtype=complex)
     w, u = rho.eig
-    out, pxp = linalg.support_leak(x, w, u, rank_tol)
+    out, pxp = linalg.support_leak(x, w, u)
     if out.max() > linalg.SUPPORT_TOL:
         raise RldExistenceError(out.max())
-    inv = linalg.on_support(np.reciprocal, w, rank_tol)
+    inv = linalg.on_support(np.reciprocal, w)
     l = x @ ((u * inv[..., None, :]) @ u.conj().swapaxes(-1, -2))
     res = linalg.frob_each(l @ rho.mat - pxp)
     bad = res > 1e-10 * np.maximum(1e-30, linalg.frob_each(x))
@@ -143,15 +140,15 @@ def km_fisher(point: FamilyPoint) -> QFisherMatrix:
     return QFisherMatrix(point.m, j, np.zeros_like(j), "KM")
 
 
-def rld_fisher(point: FamilyPoint, rank_tol: float = linalg.RANK_TOL) -> QFisherMatrix:
+def rld_fisher(point: FamilyPoint) -> QFisherMatrix:
     """J^R_ij = Tr rho L_j^dag L_i with RLDs L_i: kernel 1/lam_b on the support; Hermitian PSD.
 
-    rld() checks existence once per point and rank_tol; a refused point is refused on every call.
+    rld() checks existence once per point; a refused point is refused on every call.
     """
-    if rank_tol not in point.rld_checked:
-        rld(point.rho, point.tangents, rank_tol=rank_tol)  # raises RldExistenceError if no RLD exists
-        point.rld_checked.add(rank_tol)
-    j = _metric(point.tangents_eig, linalg.on_support(np.reciprocal, point.rho.eig.eigenvalues, rank_tol)[..., None, :])
+    if not point.rld_checked:
+        rld(point.rho, point.tangents)  # raises RldExistenceError if no RLD exists
+        point.rld_checked = True
+    j = _metric(point.tangents_eig, linalg.on_support(np.reciprocal, point.rho.eig.eigenvalues)[..., None, :])
     lam = np.linalg.eigvalsh(j)  # also gives ||J||_F = sqrt(sum lam^2)
     if (lam[..., 0] < -RLD_PSD_TOL * np.maximum(1.0, np.sqrt((lam * lam).sum(axis=-1)))).any():
         raise ValueError(f"RLD Fisher matrix not PSD: min eigenvalue {lam.min():.3e}")
@@ -188,24 +185,23 @@ def rld_imag_diagnostic(point: FamilyPoint) -> dict:
     return {"imag_part": imag, "commutator_form": comm, "difference": frob(imag - comm)}
 
 
-def finite_difference_tangents(evaluator, theta, step: float | None = None) -> FamilyPoint:
-    """Build a FamilyPoint from a theta -> rho_theta evaluator by central differences."""
+def finite_difference_tangents(evaluator, theta, step: float) -> FamilyPoint:
+    """Build a FamilyPoint from a theta -> rho_theta evaluator by central differences of the given step."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     rho = evaluator(theta)
     if not isinstance(rho, DensityMatrix):
         rho = DensityMatrix(rho)
     tangents = []
     for i in range(len(theta)):
-        h = step if step is not None else 1e-5 * max(1.0, abs(theta[i]))
         tp = theta.copy()
         tm = theta.copy()
-        tp[i] += h
-        tm[i] -= h
+        tp[i] += step
+        tm[i] -= step
         rp = evaluator(tp)
         rm = evaluator(tm)
         rp = rp.mat if isinstance(rp, DensityMatrix) else np.asarray(rp, dtype=complex)
         rm = rm.mat if isinstance(rm, DensityMatrix) else np.asarray(rm, dtype=complex)
-        x = herm((rp - rm) / (2.0 * h))
+        x = herm((rp - rm) / (2.0 * step))
         # derivative of a trace-one family; clean up quadrature residue
         x -= (np.trace(x) / rho.dim) * np.eye(rho.dim)
         tangents.append(x)

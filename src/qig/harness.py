@@ -26,6 +26,8 @@ from .states import DensityMatrix, FamilyPoint
 
 METRIC_SLACK_TOL = 1e-8
 GAUSSIAN_REL_TOL = 1e-2
+# gaussian_family refuses a truncation whose raw trace leaves [1 - LEAKAGE_TOL, 1 + LEAKAGE_TOL].
+LEAKAGE_TOL = 5e-3
 
 # Phase convention chosen so that Im J^R comes out as [[0, -h/2], [h/2, 0]]
 # (up to the prefactor) under the index convention J_ij = Tr rho L_j^dag L_i.
@@ -146,7 +148,6 @@ class GaussianSpec:
     truncation: int = 80
     quad_nodes: int = 61
     theta: tuple = (0.0, 0.0)
-    leakage_tol: float = 5e-3
     radius_cut: float = 6.0  # in units of sigma
 
     def __post_init__(self):
@@ -176,23 +177,23 @@ def _gaussian_rho(spec: GaussianSpec, theta) -> tuple[np.ndarray, float]:
     return herm(rho), raw_trace
 
 
-def gaussian_family(spec: GaussianSpec, fd_step: float = 1e-4) -> FamilyPoint:
+def gaussian_family(spec: GaussianSpec) -> FamilyPoint:
     """Fock-truncated isotropic Gaussian (coherent-mixture) family, m = 2.
 
-    Tangents in the two mean parameters by central differences.  The
-    pre-normalization trace must stay within leakage_tol of 1 at every
-    evaluated theta.
+    Tangents in the two mean parameters by central differences of step
+    1e-4.  The pre-normalization trace must stay within LEAKAGE_TOL of 1
+    at every evaluated theta.
     """
     def normalized(theta):
         rho, tr = _gaussian_rho(spec, theta)
-        if not (1.0 - spec.leakage_tol <= tr <= 1.0 + spec.leakage_tol):
+        if not (1.0 - LEAKAGE_TOL <= tr <= 1.0 + LEAKAGE_TOL):
             raise TruncationError(
-                f"truncation leakage {abs(1.0 - tr):.2e} exceeds {spec.leakage_tol:.1e}; "
+                f"truncation leakage {abs(1.0 - tr):.2e} exceeds {LEAKAGE_TOL:.1e}; "
                 f"increase truncation (N = {spec.truncation})"
             )
         return rho / tr
 
-    return finite_difference_tangents(normalized, spec.theta, fd_step)
+    return finite_difference_tangents(normalized, spec.theta, 1e-4)
 
 
 def gaussian_closed_form(spec: GaussianSpec) -> np.ndarray:
@@ -202,10 +203,10 @@ def gaussian_closed_form(spec: GaussianSpec) -> np.ndarray:
     return pref * np.array([[s2 + hb / 2.0, -1j * hb / 2.0], [1j * hb / 2.0, s2 + hb / 2.0]])
 
 
-def gaussian_check(spec: GaussianSpec, rank_tol: float = 1e-13) -> SuiteReport:
+def gaussian_check(spec: GaussianSpec) -> SuiteReport:
     """Compare the numerical J^R against the closed form and the trace bounds."""
     point = gaussian_family(spec)
-    jr = rld_fisher(point, rank_tol=rank_tol)
+    jr = rld_fisher(point)
     jnum = jr.as_complex()
     jref = gaussian_closed_form(spec)
     rel = np.abs(jnum - jref) / np.abs(jref)

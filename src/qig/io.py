@@ -99,6 +99,8 @@ def load_json(path) -> dict:
 def load_family_spec(path) -> dict:
     """Load and decode a family spec file; matrix fields become arrays."""
     spec = load_json(path)
+    if not isinstance(spec, dict):
+        raise SpecFileError(f"{path}: expected a JSON object, got {type(spec).__name__}")
     if "kind" not in spec:
         raise SpecFileError(f"{path}: missing required field 'kind'")
     out = dict(spec)

@@ -83,24 +83,24 @@ def eig_hermitian(h: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(w, u)
 
 
-def support_mask(w: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Eigenvalues with lambda >= rank_tol * lambda_max > 0 (signed) of their own spectrum (last axis)."""
+def support_mask(w: np.ndarray) -> np.ndarray:
+    """Eigenvalues with lambda >= RANK_TOL * lambda_max > 0 (signed) of their own spectrum (last axis)."""
     lam_max = w.max(axis=-1, keepdims=True, initial=0.0)
-    return (w >= rank_tol * lam_max) & (lam_max > 0)
+    return (w >= RANK_TOL * lam_max) & (lam_max > 0)
 
 
-def on_support(fn, w: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
+def on_support(fn, w: np.ndarray) -> np.ndarray:
     """fn(lambda) on the support of the spectrum w (last axis), 0 off it."""
-    sup = support_mask(w, rank_tol)
+    sup = support_mask(w)
     return np.where(sup, fn(np.where(sup, w, 1.0)), 0.0)
 
 
-def support_leak(x: np.ndarray, w: np.ndarray, u: np.ndarray, rank_tol: float = RANK_TOL):
+def support_leak(x: np.ndarray, w: np.ndarray, u: np.ndarray):
     """(||X - P X P||_F, P X P) with P the projector onto the support of the spectrum (w, u).
 
     Stacks broadcast: the norm is per member.  On a full support P = I: the leak is exactly 0, P X P is X.
     """
-    sup = support_mask(w, rank_tol)
+    sup = support_mask(w)
     if sup.all():
         return np.zeros(np.broadcast_shapes(x.shape[:-2], w.shape[:-1])), x
     p = _rebuild(sup, u)
@@ -108,30 +108,21 @@ def support_leak(x: np.ndarray, w: np.ndarray, u: np.ndarray, rank_tol: float = 
     return frob_each(x - pxp), pxp
 
 
-def spectral_function(w, u, f, rank_tol: float = RANK_TOL, strict: bool = False) -> np.ndarray:
-    """Apply a spectral function to the Hermitian matrix (or stack) with spectrum (w, u).
+def spectral_function(w, u, fn) -> np.ndarray:
+    """U fn(Lambda) U^dag for the Hermitian matrix (or stack) with spectrum (w, u).
 
-    f is one of "sqrt", "log", "inverse", or ("power", t), applied on the support (support_mask);
-    other eigenvalues map to 0 (pseudo-function).  With strict=True, log, inverse and
-    negative powers raise on a spectrum with eigenvalues off the support.
+    fn is an elementwise function such as np.sqrt, np.log or np.reciprocal, applied on the
+    support (support_mask); other eigenvalues map to 0 (pseudo-function).
     """
-    if isinstance(f, tuple) and len(f) == 2 and f[0] == "power":
-        fn, singular = (lambda v: np.power(v, float(f[1]))), float(f[1]) < 0
-    elif f in ("sqrt", "log", "inverse"):
-        fn, singular = {"sqrt": np.sqrt, "log": np.log, "inverse": np.reciprocal}[f], f != "sqrt"
-    else:
-        raise ValueError(f"unknown matrix function {f!r}")
-    if strict and singular and not support_mask(w, rank_tol).all():
-        raise RankDeficiencyError(f"{f!r} requested on a rank-deficient matrix")
-    return herm(_rebuild(on_support(fn, w, rank_tol), u))
+    return herm(_rebuild(on_support(fn, w), u))
 
 
-def matrix_function(h, f, rank_tol: float = RANK_TOL, strict: bool = False) -> np.ndarray:
+def matrix_function(h, fn) -> np.ndarray:
     """spectral_function of a Hermitian matrix, on its support (see there)."""
-    return spectral_function(*eig_hermitian(h), f, rank_tol, strict)
+    return spectral_function(*eig_hermitian(h), fn)
 
 
-def solve_lyapunov(rho, x, rank_tol: float = RANK_TOL) -> np.ndarray:
+def solve_lyapunov(rho, x) -> np.ndarray:
     """Solve X = (L rho + rho L)/2 for Hermitian L (the SLD equation).
 
     In the eigenbasis of rho, L_ij = 2 X_ij / (lam_i + lam_j); requires
@@ -143,7 +134,7 @@ def solve_lyapunov(rho, x, rank_tol: float = RANK_TOL) -> np.ndarray:
         raise DimensionMismatchError(f"shape mismatch: {rho.shape} vs {x.shape}")
     w, u = eig_hermitian(rho)
     lo, hi = w[..., 0], w[..., -1]
-    if np.any(lo < rank_tol * hi):
+    if np.any(lo < RANK_TOL * hi):
         k = np.argmin(lo / hi)
         raise RankDeficiencyError(
             f"state is rank deficient (min/max eigenvalue {np.ravel(lo)[k]:.3e}/{np.ravel(hi)[k]:.3e}); "
@@ -165,5 +156,5 @@ def spabs(g, k) -> float:
     k = np.asarray(k, dtype=float)
     if g.shape != k.shape or g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise DimensionMismatchError(f"shape mismatch: G {g.shape}, K {k.shape}")
-    gs = matrix_function(g, "sqrt").real
+    gs = matrix_function(g, np.sqrt).real
     return trace_norm(gs @ k @ gs)

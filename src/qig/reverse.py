@@ -91,6 +91,10 @@ def input_fisher(lre: LocalReverseEstimate) -> QFisherMatrix:
     return QFisherMatrix(lre.m, j, np.zeros_like(j), "classical")
 
 
+# validate_reverse_estimate refuses a candidate whose state or tangent residual exceeds RESIDUAL_CAP.
+RESIDUAL_CAP = 1e-6
+
+
 @dataclass(eq=False)
 class ReverseEstimateReport:
     rho_residual: float
@@ -99,16 +103,14 @@ class ReverseEstimateReport:
     gap: float  # min eigenvalue of J - J^R; scalar difference for m = 1
 
 
-def validate_reverse_estimate(
-    candidate: LocalReverseEstimate, point: FamilyPoint, residual_cap: float = 1e-6
-) -> ReverseEstimateReport:
+def validate_reverse_estimate(candidate: LocalReverseEstimate, point: FamilyPoint) -> ReverseEstimateReport:
     """Check the simulation constraints and the Fisher gap J - J^R >= 0."""
     ens = candidate.ensemble
     rho_res = frob(ens.mix(ens.weights) - point.rho.mat)
     tan_res = max(
         frob(candidate.tangent(i) - point.tangents[i]) for i in range(candidate.m)
     )
-    if rho_res > residual_cap or tan_res > residual_cap:
+    if rho_res > RESIDUAL_CAP or tan_res > RESIDUAL_CAP:
         raise InvalidCandidateError(rho_res, tan_res)
     j = input_fisher(candidate)
     jr = rld_fisher(point)
@@ -116,10 +118,10 @@ def validate_reverse_estimate(
     return ReverseEstimateReport(rho_res, tan_res, j, gap)
 
 
-def random_valid_lre(point: FamilyPoint, seed=0, n_components: int | None = None) -> LocalReverseEstimate:
+def random_valid_lre(point: FamilyPoint, seed=0) -> LocalReverseEstimate:
     """Randomized valid (generally suboptimal) local reverse estimate.
 
-    Draws a random co-isometry V (d x d'' with VV^dag = I), takes
+    Draws a random co-isometry V (d x d'' with VV^dag = I, d'' = d^2 + 3), takes
     ensemble columns rho^(1/2) v_x, and solves the linear system
     sum_x lambda_x v_x v_x^dag = A for real scores, adding a random
     null-space component to move inside the constraint manifold.
@@ -128,7 +130,7 @@ def random_valid_lre(point: FamilyPoint, seed=0, n_components: int | None = None
         raise ValueError("randomized LRE generator covers 1-dim families")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     d = point.dim
-    n = n_components if n_components is not None else d * d + 3
+    n = d * d + 3
     g = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
     q, _ = np.linalg.qr(g)  # n x d, orthonormal columns
     v = q.conj().T  # d x n co-isometry
@@ -148,7 +150,7 @@ def random_valid_lre(point: FamilyPoint, seed=0, n_components: int | None = None
     if res > 1e-8 * max(1.0, frob(a)):
         # fall back to the exact min-norm solution
         lam = lam0
-    return LocalReverseEstimate(Ensemble.from_columns(point.rho.func("sqrt") @ v), lam[None, :], point.theta)
+    return LocalReverseEstimate(Ensemble.from_columns(point.rho.func(np.sqrt) @ v), lam[None, :], point.theta)
 
 
 # --- global reverse estimation ----------------------------------------------
@@ -215,7 +217,7 @@ def global_reverse_estimate(
             break
     if u is None:
         raise NotReverseEstimableError(norm)
-    cols = rho0.func("sqrt") @ u
+    cols = rho0.func(np.sqrt) @ u
     cw = np.sum(np.abs(cols) ** 2, axis=0)  # ||rho0^(1/2) u_x||^2
     dists = np.array(
         [np.clip(np.real(np.einsum("xi,ij,jx->x", u.conj().T, mk, u)) * cw, 0.0, None) for mk in ms]

@@ -59,17 +59,16 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.mat.shape[-1]
 
-    def is_full_rank(self, rank_tol: float = linalg.RANK_TOL) -> bool:
-        w = self.eig.eigenvalues
-        return bool((w[..., 0] >= rank_tol * w[..., -1]).all())
+    def is_full_rank(self) -> bool:
+        return bool(linalg.support_mask(self.eig.eigenvalues).all())
 
-    def func(self, f, rank_tol: float = linalg.RANK_TOL) -> np.ndarray:
+    def func(self, fn) -> np.ndarray:
         """Support-restricted matrix function of the state (see linalg.spectral_function)."""
-        return linalg.spectral_function(*self.eig, f, rank_tol)
+        return linalg.spectral_function(*self.eig, fn)
 
     def whiten(self, x) -> np.ndarray:
         """Canonical whitening rho^(-1/2) X rho^(-1/2), on the support of rho; X may be a stack."""
-        rm = self.func(("power", -0.5))
+        rm = self.func(lambda v: v ** -0.5)
         return herm(rm @ x @ rm)
 
 
@@ -83,7 +82,7 @@ class FamilyPoint:
     theta: np.ndarray
     rho: DensityMatrix
     tangents: np.ndarray
-    rld_checked: set = field(default_factory=set, init=False, repr=False)  # rank_tols at which rld() passed
+    rld_checked: bool = field(default=False, init=False, repr=False)  # rld() passed on the tangents
 
     def __post_init__(self):
         self.theta = np.atleast_1d(np.asarray(self.theta, dtype=float))
@@ -155,7 +154,7 @@ class TangentLift:
 
 def canonical_amplitude(rho: DensityMatrix) -> AmplitudeMatrix:
     """Canonical gauge W = rho^(1/2); square, with d' = d."""
-    return AmplitudeMatrix(rho.func("sqrt"))
+    return AmplitudeMatrix(rho.func(np.sqrt))
 
 
 def project(w: AmplitudeMatrix, side: str = "system") -> DensityMatrix:
@@ -199,11 +198,11 @@ def lift_tangent(w: AmplitudeMatrix, x: np.ndarray, kind: str) -> TangentLift:
     return TangentLift(w, l @ w.w)
 
 
-def reverse_sld(w: AmplitudeMatrix, x: np.ndarray, residual_tol: float = 1e-9) -> np.ndarray:
+def reverse_sld(w: AmplitudeMatrix, x: np.ndarray) -> np.ndarray:
     """Hermitian ancilla-side operator A with L^R W = W A.
 
     Closed form A = W^+ X (W^+)^dag, the minimum-norm solution; accepted
-    only if the defining residual is within residual_tol.  In the
+    only if the defining residual is within 1e-9.  In the
     canonical gauge W = rho^(1/2) this is rho^(-1/2) X rho^(-1/2).
     """
     from .fisher import rld
@@ -216,10 +215,8 @@ def reverse_sld(w: AmplitudeMatrix, x: np.ndarray, residual_tol: float = 1e-9) -
     wp = np.linalg.pinv(w.w)
     a = herm(wp @ x @ wp.conj().T)
     res = frob(l @ w.w - w.w @ a)
-    if res > residual_tol:
-        raise RankDeficiencyError(
-            f"no Hermitian reverse SLD in this gauge: residual {res:.3e} > {residual_tol:.1e}"
-        )
+    if res > 1e-9:
+        raise RankDeficiencyError(f"no Hermitian reverse SLD in this gauge: residual {res:.3e} > 1e-9")
     return a
 
 

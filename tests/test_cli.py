@@ -337,6 +337,17 @@ class TestExitCodesAndSeeds:
         assert cli.main(["fisher", "--family", bloch_spec, "--out", str(out)]) == 0
         assert json.loads(out.read_text())["results"]["tolerances"]["psd_slack"] == 3.5e-9
 
+    def test_reverse_residual_cap_reads_enforced_constant(self, bloch_spec, tmp_path, monkeypatch):
+        out = tmp_path / "r.json"
+        argv = ["reverse", "--family", bloch_spec, "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert json.loads(out.read_text())["results"]["tolerances"]["residual_cap"] == reverse.RESIDUAL_CAP
+        monkeypatch.setattr(reverse, "RESIDUAL_CAP", 2.5e-6)
+        assert cli.main(argv) == 0
+        assert json.loads(out.read_text())["results"]["tolerances"]["residual_cap"] == 2.5e-6
+        monkeypatch.setattr(reverse, "RESIDUAL_CAP", -1.0)  # enforced: every candidate is refused
+        assert cli.main(argv) == 1
+
     def test_monotone_slack_reads_enforced_constant(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         out = tmp_path / "r.json"
@@ -420,6 +431,19 @@ class TestSpecErrors:
             "kind": "bloch_rotation", "r": 0.5, "derivative": {"mode": "finite_difference", "step": step},
         })
         self._fails(["fisher", "--family", spec], capsys, "bloch_rotation", "'derivative.step'")
+
+    @pytest.mark.parametrize("deriv, name", [
+        ({"mode": "finite_difference"}, "'derivative.step'"),
+        ({"mode": "finite_diference", "step": 0.3}, "'derivative.mode'"),
+    ])
+    def test_derivative_never_falls_back_to_analytic(self, deriv, name, tmp_path, capsys):
+        spec = write_json(tmp_path / "b.json", {"kind": "bloch_rotation", "r": 0.5, "theta": [0.3], "derivative": deriv})
+        self._fails(["fisher", "--family", spec], capsys, "bloch_rotation", name)
+
+    @pytest.mark.parametrize("obj", [5, None, ["kind"]])
+    def test_non_object_spec_refused(self, obj, tmp_path, capsys):
+        spec = write_json(tmp_path / "s.json", obj)
+        self._fails(["fisher", "--family", spec], capsys, "expected a JSON object")
 
     def test_multiparameter_km_reported(self, tmp_path):
         spec = write_json(tmp_path / "e.json", {

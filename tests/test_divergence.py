@@ -128,7 +128,7 @@ class TestIntegralForm:
         grid = np.linspace(eps, 1.0 - eps, steps + 1)
         vals = []
         for s in grid:
-            inv = DensityMatrix(s * rho.mat + (1.0 - s) * sigma.mat).func("inverse")
+            inv = DensityMatrix(s * rho.mat + (1.0 - s) * sigma.mat).func(np.reciprocal)
             vals.append((1.0 - s) * float(np.trace(x @ inv @ x).real))
         h = grid[1] - grid[0]
         return h * (sum(vals) - 0.5 * (vals[0] + vals[-1])) + eps * (vals[0] + vals[-1])

@@ -200,17 +200,17 @@ class TestPointCache:
             with pytest.raises(ValueError):
                 arr[0, 0, 0] = 1.0
 
-    def test_rld_check_once_per_point_and_rank_tol(self, monkeypatch):
+    def test_rld_check_once_per_point(self, monkeypatch):
         calls = []
         real = fisher.rld
-        monkeypatch.setattr(fisher, "rld", lambda *a, **k: calls.append(k.get("rank_tol")) or real(*a, **k))
+        monkeypatch.setattr(fisher, "rld", lambda *a, **k: calls.append(1) or real(*a, **k))
         point = random_family_point(3, 2, seed=4)
         first = rld_fisher(point).as_complex()
-        assert np.array_equal(rld_fisher(point).as_complex(), first)
+        for _ in range(3):
+            assert np.array_equal(rld_fisher(point).as_complex(), first)
         assert len(calls) == 1
-        rld_fisher(point, rank_tol=1e-13)
-        rld_fisher(point, rank_tol=1e-13)
-        assert calls == [RANK_TOL, 1e-13]
+        rld_fisher(random_family_point(3, 2, seed=4))
+        assert len(calls) == 2
 
     def test_refusing_point_refuses_every_call(self, monkeypatch):
         calls = []

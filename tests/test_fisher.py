@@ -125,14 +125,14 @@ class TestRldFisher:
             dim = int(rng.integers(2, 6))
             pt = random_family_point(dim, 1, rng)
             jr = rld_fisher(pt).scalar
-            inv = pt.rho.func("inverse")
+            inv = pt.rho.func(np.reciprocal)
             direct = float(np.trace(pt.tangents[0] @ inv @ pt.tangents[0]).real)
             assert abs(jr - direct) <= 1e-10 * max(1.0, direct)
 
     def test_hermitian_psd(self):
         for seed in range(30):
             pt = random_family_point(3, 2, seed)
-            assert rld_fisher(pt).min_eigenvalue() >= -1e-10
+            assert np.linalg.eigvalsh(rld_fisher(pt).as_complex()).min() >= -1e-10
 
 
 class TestMetricKernel:
@@ -263,13 +263,6 @@ class TestFiniteDifference:
         )
         analytic = bloch_rotation_point(0.8, 0.3)
         assert frob(fd.tangents[0] - analytic.tangents[0]) <= 1e-7
-
-    def test_default_step_scales_with_theta(self):
-        fd = finite_difference_tangents(
-            lambda th: bloch_rotation_state(0.5, float(th[0])), [2.0]
-        )
-        analytic = bloch_rotation_point(0.5, 2.0)
-        assert frob(fd.tangents[0] - analytic.tangents[0]) <= 1e-6
 
 
 @settings(max_examples=40, deadline=None)

@@ -44,14 +44,14 @@ class TestDensityMatrix:
 
     def test_func_inverse(self):
         rho = DensityMatrix(np.diag([0.25, 0.75]))
-        assert np.allclose(rho.func("inverse"), np.diag([4.0, 4.0 / 3.0]))
+        assert np.allclose(rho.func(np.reciprocal), np.diag([4.0, 4.0 / 3.0]))
 
     def test_func_skips_rounding_negative_eigenvalue(self):
         """PSD_FLOOR admits -9e-13; the support rule is signed, so log and inverse stay finite."""
         rho = DensityMatrix(np.diag([0.6, 0.4, -9e-13]))
-        assert np.allclose(rho.func("log"), np.diag([np.log(0.6), np.log(0.4), 0.0]), atol=1e-15)
-        assert np.allclose(rho.func("inverse"), np.diag([1 / 0.6, 1 / 0.4, 0.0]), atol=1e-15)
-        assert np.allclose(rho.func(("power", -0.5)), np.diag([0.6 ** -0.5, 0.4 ** -0.5, 0.0]), atol=1e-15)
+        assert np.allclose(rho.func(np.log), np.diag([np.log(0.6), np.log(0.4), 0.0]), atol=1e-15)
+        assert np.allclose(rho.func(np.reciprocal), np.diag([1 / 0.6, 1 / 0.4, 0.0]), atol=1e-15)
+        assert np.allclose(rho.func(lambda v: v ** -0.5), np.diag([0.6 ** -0.5, 0.4 ** -0.5, 0.0]), atol=1e-15)
 
 
 class TestAmplitude:
@@ -192,7 +192,7 @@ class TestReverseSld:
         w = canonical_amplitude(rho)
         x = 0.5 * PAULI_X
         a = reverse_sld(w, x)
-        rm = rho.func(("power", -0.5))
+        rm = rho.func(lambda v: v ** -0.5)
         assert frob(a - rm @ x @ rm) <= 1e-11
         # defining equation residual
         from qig.fisher import rld
