@@ -6,17 +6,17 @@ a commuting grid family), monotone (randomized sandwich/monotonicity
 suites), divergence (two-state divergences), bound (multiparameter
 reverse/estimation bounds), gaussian (truncated Gaussian example).
 
-Human-readable tables go to stdout (6 significant digits); the full-
-precision report document is written to --out, or to a sidecar
-``*.report.json`` next to the primary input file.
+Each subcommand prints its human-readable table to stdout (6 significant
+digits) and returns (primary input, spec echo, results, passed); ``main``
+writes the full-precision report to --out, to a sidecar ``*.report.json``
+next to the primary input file, or to ``qig_<cmd>.report.json``, and
+exits 0 if passed, 2 if not, 1 on an input error.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -37,7 +37,6 @@ from .reverse import (
     ORACLE_GAP_TOL,
     global_commutation_check,
     global_reverse_estimate,
-    input_fisher,
     local_reverse_estimate,
     min_trace_oracle,
     multiparam_bounds,
@@ -66,29 +65,14 @@ def _print_matrix(name, mat):
         print("    " + "  ".join(f"{c:>16s}" for c in cells))
 
 
-def _resolve_seed(args) -> int:
-    env = os.environ.get("QIG_SEED")
-    if env is not None:
-        return int(env)
-    return getattr(args, "seed", 0) or 0
-
-
-def _report_path(args, primary_input: str | None, subcommand: str) -> Path:
-    if args.out:
-        return Path(args.out)
-    if primary_input:
-        return Path(primary_input).with_suffix(".report.json")
-    return Path(f"qig_{subcommand}.report.json")
-
-
 def _write_report(path: Path, command, seed, spec_echo, results) -> None:
-    echo = json.dumps(io._jsonable(spec_echo), sort_keys=True, separators=(",", ":"))  # as io.spec_digest
+    echo, digest = io.canonical_json(spec_echo)
     doc = {
         "command": command,
         "version": __version__,
         "seed": seed,
         "spec_echo": None,
-        "input_digest": hashlib.sha256(echo.encode()).hexdigest() if spec_echo is not None else None,
+        "input_digest": digest,
         "results": io._jsonable(results),
     }
     # the echo is serialized once, in canonical form: hashed above, embedded here
@@ -109,7 +93,7 @@ def _load_family(args, grid: bool = False):
     return spec, family
 
 
-def _cmd_fisher(args) -> int:
+def _cmd_fisher(args):
     spec, point = _load_family(args)
     results = {"theta": list(point.theta), "dim": point.dim, "tolerances": {"psd_slack": fisher.RLD_PSD_TOL}}
     js, jr, jkm = sld_fisher(point), rld_fisher(point), km_fisher(point)
@@ -122,11 +106,10 @@ def _cmd_fisher(args) -> int:
     _print_matrix("J^R (RLD)", jr.as_complex())
     if point.m == 1:
         print(f"  scalar: J^S = {_fmt(js.scalar)}  J^KM = {_fmt(jkm.scalar)}  J^R = {_fmt(jr.scalar)}")
-    _write_report(_report_path(args, args.family, "fisher"), sys.argv[1:], _resolve_seed(args), spec, results)
-    return 0
+    return args.family, spec, results, True
 
 
-def _cmd_reverse(args) -> int:
+def _cmd_reverse(args):
     spec, point = _load_family(args)
     lre = local_reverse_estimate(point)
     rep = validate_reverse_estimate(lre, point)
@@ -146,23 +129,20 @@ def _cmd_reverse(args) -> int:
         "tangent_residual": rep.tangent_residual,
         "tolerances": {"residual_cap": reverse.RESIDUAL_CAP, "equality": 1e-9},
     }
-    _write_report(_report_path(args, args.family, "reverse"), sys.argv[1:], _resolve_seed(args), spec, results)
-    return 0
+    return args.family, spec, results, True
 
 
-def _cmd_global(args) -> int:
+def _cmd_global(args):
     spec, points = _load_family(args, grid=True)
-    seed = _resolve_seed(args)
     norm = global_commutation_check(points)
     results = {"commutator_norm": norm, "tolerances": {"commutation": 1e-8, "input_fisher": 1e-7}}
     print(f"max RLD commutator norm over the grid: {_fmt(norm)}")
     try:
-        gre = global_reverse_estimate(points, 0, seed=seed)
+        gre = global_reverse_estimate(points, 0, seed=args.seed)
     except NotReverseEstimableError as exc:
         print(f"family is NOT globally reverse-estimable ({exc})")
         results["estimable"] = False
-        _write_report(_report_path(args, args.family, "global"), sys.argv[1:], seed, spec, results)
-        return 0
+        return args.family, spec, results, True
     results["estimable"] = True
     results["distributions"] = io.encode_matrix(gre.distributions)
     results["w0"] = io.encode_matrix(gre.w0.w)
@@ -173,15 +153,13 @@ def _cmd_global(args) -> int:
         rows.append({"theta": float(pt.theta[0]), "input_fisher": jin, "rld_fisher": jr})
         print(f"  theta {_fmt(pt.theta[0]):>10s}: input Fisher {_fmt(jin)}  J^R {_fmt(jr)}")
     results["per_point"] = rows
-    _write_report(_report_path(args, args.family, "global"), sys.argv[1:], seed, spec, results)
-    return 0
+    return args.family, spec, results, True
 
 
-def _cmd_monotone(args) -> int:
-    seed = _resolve_seed(args)
+def _cmd_monotone(args):
     dims = tuple(int(d) for d in args.dims.split(","))
-    met = monotone_metric_suite(args.trials, dims, seed)
-    div = monotone_divergence_suite(args.trials, dims, seed + 1)
+    met = monotone_metric_suite(args.trials, dims, args.seed)
+    div = monotone_divergence_suite(args.trials, dims, args.seed + 1)
     for rep in (met, div):
         print(f"suite {rep.suite}: trials {rep.trials}  pass {rep.passed}")
         for name, (lo, hi) in rep.slack_range.items():
@@ -193,9 +171,7 @@ def _cmd_monotone(args) -> int:
         "divergence_suite": io.suite_report_to_json(div),
         "tolerances": {"slack": harness.METRIC_SLACK_TOL},
     }
-    _write_report(_report_path(args, None, "monotone"), sys.argv[1:], seed,
-                  {"trials": args.trials, "dims": list(dims), "seed": seed}, results)
-    return 0 if met.passed and div.passed else 2
+    return None, {"trials": args.trials, "dims": list(dims), "seed": args.seed}, results, met.passed and div.passed
 
 
 def _check(name, value, tol) -> dict:
@@ -207,15 +183,17 @@ def _skipped(name, tol, reason) -> dict:
     return {"name": name, "value": None, "tolerance": tol, "margin": None, "passed": None, "skipped": reason}
 
 
-def _print_checks(checks) -> None:
+def _print_checks(checks) -> bool:
+    """Print each check; True unless one failed (a skipped check, passed None, does not count)."""
     for c in checks:
         if c["passed"] is None:
             print(f"check {c['name']}: skipped ({c['skipped']})")
         else:
             print(f"check {c['name']}: {'pass' if c['passed'] else 'FAIL'} (margin {_fmt(c['margin'])})")
+    return not any(c["passed"] is False for c in checks)
 
 
-def _cmd_divergence(args) -> int:
+def _cmd_divergence(args):
     rho = DensityMatrix(io.load_density(args.rho))
     sigma = DensityMatrix(io.load_density(args.sigma))
     du = umegaki(rho, sigma)
@@ -234,20 +212,17 @@ def _cmd_divergence(args) -> int:
     print(f"rld closed   : {_fmt(dr)}")
     print(f"rld integral : {_fmt(di)}   ({args.steps + 1} evaluations, minus closed {_fmt(diff)})")
     print(f"two-point KL : {'skipped' if tkl is None else _fmt(tkl)}")
-    _print_checks(checks)
+    passed = _print_checks(checks)
     results = {
         "umegaki": du, "rld_closed": dr, "rld_integral": di, "integral_minus_closed": diff,
         "steps": args.steps, "evaluations": args.steps + 1, "two_point_kl": tkl, "checks": checks,
         "tolerances": {c["name"]: c["tolerance"] for c in checks},
     }
-    _write_report(_report_path(args, args.rho, "divergence"), sys.argv[1:], _resolve_seed(args),
-                  {"rho": rho.mat, "sigma": sigma.mat}, results)
-    return 2 if any(c["passed"] is False for c in checks) else 0  # a skipped check (passed None) does not count
+    return args.rho, {"rho": rho.mat, "sigma": sigma.mat}, results, passed
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args):
     spec, point = _load_family(args)
-    seed = _resolve_seed(args)
     jr = rld_fisher(point)
     g = io.load_weight(args.weight) if args.weight else np.eye(point.m)
     mb = multiparam_bounds(jr, g)
@@ -276,13 +251,11 @@ def _cmd_bound(args) -> int:
         results["oracle_gap"] = res.gap
         results["oracle_relative_difference"] = rel
         checks = [_check("oracle_vs_closed", rel, reverse.ORACLE_REL_TOL)]
-    _print_checks(checks)
     results["checks"] = checks
-    _write_report(_report_path(args, args.family, "bound"), sys.argv[1:], seed, spec, results)
-    return 2 if any(c["passed"] is False for c in checks) else 0  # a skipped check (passed None) does not count
+    return args.family, spec, results, _print_checks(checks)
 
 
-def _cmd_gaussian(args) -> int:
+def _cmd_gaussian(args):
     spec = GaussianSpec(sigma2=args.sigma2, hbar=args.hbar, truncation=args.truncation)
     rep = gaussian_check(spec)
     d = rep.details
@@ -293,9 +266,7 @@ def _cmd_gaussian(args) -> int:
     print(f"  reverse bound {_fmt(d['reverse_bound'])} (reference {_fmt(d['reverse_bound_reference'])}), "
           f"estimation bound {_fmt(d['estimation_bound'])}")
     print(f"  pass: {rep.passed}")
-    _write_report(_report_path(args, None, "gaussian"), sys.argv[1:], _resolve_seed(args),
-                  d["spec"], io.suite_report_to_json(rep))
-    return 0 if rep.passed else 2
+    return None, d["spec"], io.suite_report_to_json(rep), rep.passed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,12 +321,16 @@ _PARSER = build_parser()  # built once; parse_args keeps no state between calls
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    command = sys.argv[1:] if argv is None else list(argv)
+    args = _PARSER.parse_args(command)
     try:
-        return _DISPATCH[args.cmd](args)
+        primary, spec_echo, results, passed = _DISPATCH[args.cmd](args)
+        default = Path(primary).with_suffix(".report.json") if primary else f"qig_{args.cmd}.report.json"
+        _write_report(Path(args.out or default), command, args.seed, spec_echo, results)
     except (QigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0 if passed else 2
 
 
 if __name__ == "__main__":

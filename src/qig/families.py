@@ -108,6 +108,8 @@ def build_family(spec: dict):
             raise SpecFileError(f"{kind} spec: theta has {th.size} components, expected {m}")
         return th
 
+    if "derivative" in spec and kind != "bloch_rotation":  # every other kind would ignore it
+        raise SpecFileError(f"{kind} spec: field 'derivative' applies only to kind 'bloch_rotation'")
     deriv = field("derivative", default={"mode": "analytic"})
     if not isinstance(deriv, dict):
         raise SpecFileError(f"{kind} spec: field 'derivative' must be an object")

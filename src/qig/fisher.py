@@ -171,20 +171,6 @@ def classical_fisher(point: ClassicalFamilyPoint) -> QFisherMatrix:
     return QFisherMatrix(point.m, j, np.zeros_like(j), "classical")
 
 
-def rld_imag_diagnostic(point: FamilyPoint) -> dict:
-    """Compare Im J^R against -Tr rho [L_i, L_j]/2 (non-commutativity measure).
-
-    Returned as a diagnostic (both matrices and their difference norm);
-    no equality is asserted since the Hermiticity convention for the
-    non-Hermitian L^R is not fixed.
-    """
-    ls = rld(point.rho, point.tangents)
-    t = np.einsum("iac,kca->ik", point.rho.mat @ ls, ls)  # Tr rho L_i L_k
-    comm = -0.5 * (t - t.T).imag
-    imag = rld_fisher(point).imag_part
-    return {"imag_part": imag, "commutator_form": comm, "difference": frob(imag - comm)}
-
-
 def finite_difference_tangents(evaluator, theta, step: float) -> FamilyPoint:
     """Build a FamilyPoint from a theta -> rho_theta evaluator by central differences of the given step."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))

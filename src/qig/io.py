@@ -131,7 +131,12 @@ def load_weight(path) -> np.ndarray:
     return decode_matrix(mat).real
 
 
+def canonical_json(spec) -> tuple[str, str]:
+    """(canonical JSON text, its SHA-256): keys sorted, no whitespace; stable under re-parse."""
+    text = json.dumps(_jsonable(spec), sort_keys=True, separators=(",", ":"))
+    return text, hashlib.sha256(text.encode()).hexdigest()
+
+
 def spec_digest(spec) -> str:
-    """Digest of the canonical JSON encoding; stable under re-parse."""
-    canonical = json.dumps(_jsonable(spec), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    """Digest of the canonical JSON encoding (the report's input_digest)."""
+    return canonical_json(spec)[1]

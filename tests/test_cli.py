@@ -323,11 +323,12 @@ class TestExitCodesAndSeeds:
         assert cli.main(["monotone", "--trials", "3", "--dims", "1"]) == 1
         assert "dim" in capsys.readouterr().err
 
-    def test_env_seed_overrides_flag(self, bloch_spec, tmp_path, monkeypatch):
-        monkeypatch.setenv("QIG_SEED", "777")
+    def test_report_records_parsed_argv(self, bloch_spec, tmp_path):
         out = tmp_path / "r.json"
-        cli.main(["fisher", "--family", bloch_spec, "--seed", "3", "--out", str(out)])
-        assert json.loads(out.read_text())["seed"] == 777
+        argv = ["fisher", "--family", bloch_spec, "--seed", "3", "--out", str(out)]
+        assert cli.main(argv) == 0
+        doc = json.loads(out.read_text())
+        assert doc["command"] == argv and doc["seed"] == 3
 
     def test_fisher_psd_slack_reads_enforced_constant(self, bloch_spec, tmp_path, monkeypatch):
         out = tmp_path / "r.json"
@@ -362,6 +363,38 @@ class TestExitCodesAndSeeds:
         assert cli.main(["fisher", "--family", bloch_spec]) == 0
         sidecar = bloch_spec.replace(".json", ".report.json")
         assert json.loads(open(sidecar).read())["results"]
+
+    def test_divergence_sidecar_next_to_rho(self, qubit_pair, tmp_path, monkeypatch):
+        rho, sigma = qubit_pair
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        assert cli.main(["divergence", "--rho", rho, "--sigma", sigma, "--steps", "50"]) == 0
+        assert json.loads((tmp_path / "rho.report.json").read_text())["results"]["steps"] == 50
+        assert not (tmp_path / "sigma.report.json").exists() and not any((tmp_path / "cwd").iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["monotone", "--trials", "2", "--dims", "2"],
+        ["gaussian", "--truncation", "40"],
+    ])
+    def test_report_in_working_directory(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 0
+        assert json.loads((tmp_path / f"qig_{argv[0]}.report.json").read_text())["command"] == argv
+
+    @pytest.mark.parametrize("cmd", ["fisher", "divergence", "monotone", "gaussian"])
+    def test_out_wins(self, cmd, bloch_spec, qubit_pair, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "sub" / "r.json"
+        out.parent.mkdir()
+        argv = {
+            "fisher": ["fisher", "--family", bloch_spec],
+            "divergence": ["divergence", "--rho", qubit_pair[0], "--sigma", qubit_pair[1], "--steps", "50"],
+            "monotone": ["monotone", "--trials", "2", "--dims", "2"],
+            "gaussian": ["gaussian", "--truncation", "40"],
+        }[cmd] + ["--out", str(out)]
+        assert cli.main(argv) == 0
+        assert json.loads(out.read_text())["command"] == argv
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bloch.json", "rho.json", "sigma.json", "sub"]
 
 
 class TestSpecErrors:
@@ -439,6 +472,17 @@ class TestSpecErrors:
     def test_derivative_never_falls_back_to_analytic(self, deriv, name, tmp_path, capsys):
         spec = write_json(tmp_path / "b.json", {"kind": "bloch_rotation", "r": 0.5, "theta": [0.3], "derivative": deriv})
         self._fails(["fisher", "--family", spec], capsys, "bloch_rotation", name)
+
+    @pytest.mark.parametrize("cmd, spec", [
+        ("fisher", {"kind": "explicit", "rho": [[0.9, 0.0], [0.0, 0.1]], "tangents": [[[0.0, 0.5], [0.5, 0.0]]]}),
+        ("bound", {"kind": "gaussian", "truncation": 20}),
+        ("fisher", {"kind": "classical_simplex", "probs": [0.4, 0.6], "scores": [[1.0, -1.0]]}),
+        ("global", {"kind": "fixed_basis", "prob_table": [[0.3, 0.7], [0.6, 0.4]], "theta_grid": [0.0, 1.0]}),
+    ])
+    @pytest.mark.parametrize("deriv", [{"mode": "finite_difference", "step": 0.5}, {"mode": "analytic"}])
+    def test_derivative_refused_where_ignored(self, cmd, spec, deriv, tmp_path, capsys):
+        path = write_json(tmp_path / "s.json", {**spec, "derivative": deriv})
+        self._fails([cmd, "--family", path], capsys, spec["kind"], "'derivative'", "bloch_rotation")
 
     @pytest.mark.parametrize("obj", [5, None, ["kind"]])
     def test_non_object_spec_refused(self, obj, tmp_path, capsys):

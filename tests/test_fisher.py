@@ -21,7 +21,6 @@ from qig.fisher import (
     km_fisher,
     rld,
     rld_fisher,
-    rld_imag_diagnostic,
     sld,
     sld_fisher,
 )
@@ -239,21 +238,17 @@ class TestScalarSandwichAndCollapse:
             assert frob(l - l.conj().T) <= 1e-10
 
 
-class TestImagDiagnostic:
-    def test_reports_both_forms(self):
-        pt = random_family_point(3, 2, 21)
-        diag = rld_imag_diagnostic(pt)
-        assert set(diag) == {"imag_part", "commutator_form", "difference"}
-        assert diag["difference"] >= 0.0
-
-    def test_commuting_family_zero_imag(self):
-        rho = DensityMatrix(np.diag([0.2, 0.8]))
-        pt = FamilyPoint(
-            [0.0, 0.0], rho, [np.diag([0.5, -0.5]), np.diag([-0.1, 0.1])]
-        )
-        diag = rld_imag_diagnostic(pt)
-        assert frob(diag["imag_part"]) <= 1e-12
-        assert frob(diag["commutator_form"]) <= 1e-12
+class TestImagPart:
+    def test_imag_part_is_im_tr_rho_l_l(self):
+        # Im J^R_ij = Im Tr rho L_i L_j for the RLDs L_i = rld(rho, X_i); both vanish on a commuting family
+        commuting = FamilyPoint([0.0, 0.0], DensityMatrix(np.diag([0.2, 0.8])),
+                                [np.diag([0.5, -0.5]), np.diag([-0.1, 0.1])])
+        for pt in [random_family_point(d, 2, 21 + d) for d in (2, 3, 5)] + [commuting]:
+            ls = rld(pt.rho, pt.tangents)
+            t = np.einsum("iac,kca->ik", pt.rho.mat @ ls, ls)
+            imag = rld_fisher(pt).imag_part
+            assert frob(imag - t.imag) <= 1e-12 * max(1.0, frob(imag))
+            assert (frob(imag) <= 1e-12) == (pt is commuting)
 
 
 class TestFiniteDifference:
