@@ -131,7 +131,7 @@ def child_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(index,)))
 
 
-def _as_rng(seed) -> np.random.Generator:
+def as_rng(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
@@ -192,25 +192,25 @@ def povm_from(g: np.ndarray) -> POVM:
 
 
 def random_unitary(dim: int, seed=0) -> np.ndarray:
-    return unitary_from(ginibre(_as_rng(seed), 1, dim)[0])
+    return unitary_from(ginibre(as_rng(seed), 1, dim)[0])
 
 
 def random_density(dim: int, seed=0) -> DensityMatrix:
     """Full-rank random state (see density_from for its eigenvalue floors)."""
-    return density_from(ginibre(_as_rng(seed), 1, dim)[0])
+    return density_from(ginibre(as_rng(seed), 1, dim)[0])
 
 
 def random_hermitian_traceless(dim: int, seed=0) -> np.ndarray:
-    return traceless_from(ginibre(_as_rng(seed), 1, dim)[0])
+    return traceless_from(ginibre(as_rng(seed), 1, dim)[0])
 
 
 def random_family_point(dim: int, m: int = 1, seed=0) -> FamilyPoint:
-    return family_point_from(ginibre(_as_rng(seed), 1 + m, dim))
+    return family_point_from(ginibre(as_rng(seed), 1 + m, dim))
 
 
 def random_kraus(dim: int, seed=0, n_kraus: int = 2) -> KrausChannel:
-    return kraus_from(ginibre(_as_rng(seed), 1, dim * n_kraus)[0], dim)
+    return kraus_from(ginibre(as_rng(seed), 1, dim * n_kraus)[0], dim)
 
 
 def random_povm(dim: int, n_outcomes: int = 3, seed=0) -> POVM:
-    return povm_from(ginibre(_as_rng(seed), n_outcomes, dim))
+    return povm_from(ginibre(as_rng(seed), n_outcomes, dim))

@@ -135,7 +135,8 @@ def _cmd_reverse(args):
 def _cmd_global(args):
     spec, points = _load_family(args, grid=True)
     norm = global_commutation_check(points)
-    results = {"commutator_norm": norm, "tolerances": {"commutation": 1e-8, "input_fisher": 1e-7}}
+    results = {"commutator_norm": norm,
+               "tolerances": {"commutation": reverse.COMMUTATION_TOL, "input_fisher": 1e-7}}
     print(f"max RLD commutator norm over the grid: {_fmt(norm)}")
     try:
         gre = global_reverse_estimate(points, 0, seed=args.seed)
@@ -194,8 +195,8 @@ def _print_checks(checks) -> bool:
 
 
 def _cmd_divergence(args):
-    rho = DensityMatrix(io.load_density(args.rho))
-    sigma = DensityMatrix(io.load_density(args.sigma))
+    rho = DensityMatrix(io.load_matrix(args.rho, "rho"))
+    sigma = DensityMatrix(io.load_matrix(args.sigma, "rho"))
     du = umegaki(rho, sigma)
     dr = rld_divergence(rho, sigma)
     di = rld_divergence_integral(rho, sigma, args.steps)
@@ -224,7 +225,7 @@ def _cmd_divergence(args):
 def _cmd_bound(args):
     spec, point = _load_family(args)
     jr = rld_fisher(point)
-    g = io.load_weight(args.weight) if args.weight else np.eye(point.m)
+    g = io.load_matrix(args.weight, "weight").real if args.weight else np.eye(point.m)
     mb = multiparam_bounds(jr, g)
     print(f"reverse-estimation bound : {_fmt(mb.reverse)}")
     print(f"estimation bound         : {_fmt(mb.estimation)}")

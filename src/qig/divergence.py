@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import Ensemble
+from .channels import Ensemble, as_rng
 from .errors import RankDeficiencyError
 from .linalg import frob
 from .states import DensityMatrix, check_traces
@@ -146,7 +146,7 @@ def split_two_point_estimate(tpre: TwoPointReverseEstimate, seed=0) -> TwoPointR
     sigma-weights with independent ratios, so both reconstructions are
     preserved while the input KL can only grow (log-sum inequality).
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = as_rng(seed)
     states = list(tpre.ensemble.states)
     p_rho = list(tpre.p_rho)
     p_sigma = list(tpre.p_sigma)

@@ -15,13 +15,11 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def bloch_rotation_state(r: float, theta: float) -> DensityMatrix:
-    """rho = (I + r(cos theta sx + sin theta sy))/2; full rank for r < 1."""
+def bloch_rotation_matrix(r: float, theta: float) -> np.ndarray:
+    """rho = (I + r(cos theta sx + sin theta sy))/2 as a matrix; full rank for r < 1."""
     if not 0.0 <= r < 1.0:
         raise SpecFileError(f"bloch radius must satisfy 0 <= r < 1, got {r}")
-    return DensityMatrix(
-        0.5 * (np.eye(2) + r * (np.cos(theta) * PAULI_X + np.sin(theta) * PAULI_Y))
-    )
+    return 0.5 * (np.eye(2) + r * (np.cos(theta) * PAULI_X + np.sin(theta) * PAULI_Y))
 
 
 def bloch_rotation_point(r: float, theta: float, step: float | None = None) -> FamilyPoint:
@@ -30,9 +28,9 @@ def bloch_rotation_point(r: float, theta: float, step: float | None = None) -> F
     Analytic tangents, or central differences of the given step.
     """
     if step is not None:
-        return finite_difference_tangents(lambda th: bloch_rotation_state(r, float(th[0])), [theta], step)
+        return finite_difference_tangents(lambda th: bloch_rotation_matrix(r, float(th[0])), [theta], step)
     tangent = 0.5 * r * (-np.sin(theta) * PAULI_X + np.cos(theta) * PAULI_Y)
-    return FamilyPoint([theta], bloch_rotation_state(r, theta), [tangent])
+    return FamilyPoint([theta], DensityMatrix(bloch_rotation_matrix(r, theta)), [tangent])
 
 
 def classical_simplex_point(probs, scores, theta=None) -> FamilyPoint:

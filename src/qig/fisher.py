@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import RankDeficiencyError, RldExistenceError, SingularFamilyError
+from .errors import DimensionMismatchError, RankDeficiencyError, RldExistenceError, SingularFamilyError
 from .linalg import frob, herm, solve_lyapunov
 from .states import DensityMatrix, FamilyPoint
 
@@ -31,6 +31,8 @@ class QFisherMatrix:
     kind: str  # SLD | RLD | KM | classical | measured
 
     def __post_init__(self):
+        if self.m != self.real_part.shape[-1]:
+            raise DimensionMismatchError(f"m = {self.m} for a Fisher matrix of shape {self.real_part.shape}")
         self.real_part = 0.5 * (self.real_part + self.real_part.swapaxes(-1, -2))
         self.imag_part = 0.5 * (self.imag_part - self.imag_part.swapaxes(-1, -2))
         if self.kind != "RLD" and frob(self.imag_part) > 1e-10 * max(1.0, frob(self.real_part)):
@@ -80,8 +82,11 @@ class ClassicalFamilyPoint:
 
 
 def sld(rho: DensityMatrix, x: np.ndarray) -> np.ndarray:
-    """Symmetric logarithmic derivative of (rho, X); requires full rank."""
-    return solve_lyapunov(rho.mat, x)
+    """Symmetric logarithmic derivative of (rho, X), solved on the cached spectrum; requires full rank."""
+    if not rho.is_full_rank():
+        raise RankDeficiencyError(f"state is rank deficient (min eigenvalue {rho.eig.eigenvalues.min():.3e}); "
+                                  "SLD is not unique")
+    return solve_lyapunov(*rho.eig, x)
 
 
 def rld(rho: DensityMatrix, x: np.ndarray) -> np.ndarray:
@@ -172,22 +177,12 @@ def classical_fisher(point: ClassicalFamilyPoint) -> QFisherMatrix:
 
 
 def finite_difference_tangents(evaluator, theta, step: float) -> FamilyPoint:
-    """Build a FamilyPoint from a theta -> rho_theta evaluator by central differences of the given step."""
+    """FamilyPoint by central differences of a theta -> rho_theta matrix evaluator; decomposes the centre only."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    rho = evaluator(theta)
-    if not isinstance(rho, DensityMatrix):
-        rho = DensityMatrix(rho)
+    rho = DensityMatrix(evaluator(theta))
     tangents = []
-    for i in range(len(theta)):
-        tp = theta.copy()
-        tm = theta.copy()
-        tp[i] += step
-        tm[i] -= step
-        rp = evaluator(tp)
-        rm = evaluator(tm)
-        rp = rp.mat if isinstance(rp, DensityMatrix) else np.asarray(rp, dtype=complex)
-        rm = rm.mat if isinstance(rm, DensityMatrix) else np.asarray(rm, dtype=complex)
-        x = herm((rp - rm) / (2.0 * step))
+    for h in step * np.eye(len(theta)):
+        x = herm((evaluator(theta + h) - evaluator(theta - h)) / (2.0 * step))
         # derivative of a trace-one family; clean up quadrature residue
         x -= (np.trace(x) / rho.dim) * np.eye(rho.dim)
         tangents.append(x)

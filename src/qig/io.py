@@ -6,6 +6,7 @@ plain number (real) or a two-element [re, im] array (complex).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -63,15 +64,7 @@ def qfisher_to_json(j) -> dict:
 
 
 def suite_report_to_json(rep) -> dict:
-    return {
-        "suite": rep.suite,
-        "master_seed": rep.master_seed,
-        "trials": rep.trials,
-        "slack_range": {k: list(v) for k, v in rep.slack_range.items()},
-        "violations": [list(v) for v in rep.violations],
-        "passed": rep.passed,
-        "details": _jsonable(rep.details),
-    }
+    return _jsonable(dataclasses.asdict(rep))
 
 
 def _jsonable(obj):
@@ -119,16 +112,10 @@ def load_family_spec(path) -> dict:
     return out
 
 
-def load_density(path) -> np.ndarray:
+def load_matrix(path, key) -> np.ndarray:
+    """The matrix in a JSON file: the whole document, or its field `key` when it is an object holding one."""
     obj = load_json(path)
-    mat = obj["rho"] if isinstance(obj, dict) and "rho" in obj else obj
-    return decode_matrix(mat)
-
-
-def load_weight(path) -> np.ndarray:
-    obj = load_json(path)
-    mat = obj["weight"] if isinstance(obj, dict) and "weight" in obj else obj
-    return decode_matrix(mat).real
+    return decode_matrix(obj[key] if isinstance(obj, dict) and key in obj else obj)
 
 
 def canonical_json(spec) -> tuple[str, str]:

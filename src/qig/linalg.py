@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionMismatchError, RankDeficiencyError
+from .errors import ConvergenceError, DimensionMismatchError
 
 # Relative support cutoff: eigenvalues below RANK_TOL * lambda_max are
 # treated as zero by the pseudo matrix functions.
@@ -122,24 +122,15 @@ def matrix_function(h, fn) -> np.ndarray:
     return spectral_function(*eig_hermitian(h), fn)
 
 
-def solve_lyapunov(rho, x) -> np.ndarray:
-    """Solve X = (L rho + rho L)/2 for Hermitian L (the SLD equation).
+def solve_lyapunov(w, u, x) -> np.ndarray:
+    """Solve X = (L rho + rho L)/2 for Hermitian L (the SLD equation), rho = U diag(w) U^dag.
 
-    In the eigenbasis of rho, L_ij = 2 X_ij / (lam_i + lam_j); requires
-    rho numerically full rank.  Works member by member on (..., d, d) stacks.
+    In the eigenbasis of rho, L_ij = 2 X_ij / (lam_i + lam_j); the caller
+    ensures rho is numerically full rank.  Works member by member on (..., d, d) stacks.
     """
-    rho = np.asarray(rho, dtype=complex)
     x = np.asarray(x, dtype=complex)
-    if rho.shape != x.shape:
-        raise DimensionMismatchError(f"shape mismatch: {rho.shape} vs {x.shape}")
-    w, u = eig_hermitian(rho)
-    lo, hi = w[..., 0], w[..., -1]
-    if np.any(lo < RANK_TOL * hi):
-        k = np.argmin(lo / hi)
-        raise RankDeficiencyError(
-            f"state is rank deficient (min/max eigenvalue {np.ravel(lo)[k]:.3e}/{np.ravel(hi)[k]:.3e}); "
-            "SLD is not unique"
-        )
+    if u.shape != x.shape:
+        raise DimensionMismatchError(f"shape mismatch: {u.shape} vs {x.shape}")
     uh = u.conj().swapaxes(-1, -2)
     lt = 2.0 * (uh @ x @ u) / (w[..., :, None] + w[..., None, :])
     return herm(u @ lt @ uh)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Ensemble, child_rng
+from .channels import Ensemble, as_rng, child_rng
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -128,7 +128,7 @@ def random_valid_lre(point: FamilyPoint, seed=0) -> LocalReverseEstimate:
     """
     if point.m != 1:
         raise ValueError("randomized LRE generator covers 1-dim families")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = as_rng(seed)
     d = point.dim
     n = d * d + 3
     g = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
@@ -154,6 +154,9 @@ def random_valid_lre(point: FamilyPoint, seed=0) -> LocalReverseEstimate:
 
 
 # --- global reverse estimation ----------------------------------------------
+
+# global_reverse_estimate refuses grids whose max RLD commutator exceeds COMMUTATION_TOL * max(1, max ||L||_F)^2.
+COMMUTATION_TOL = 1e-8
 
 
 def _grid_rlds(points: list[FamilyPoint]) -> list[np.ndarray]:
@@ -199,7 +202,7 @@ def global_reverse_estimate(
     """
     ls = _grid_rlds(points)
     norm = _max_commutator(ls)
-    if norm > 1e-8 * max(1.0, max((frob(l) for l in ls), default=0.0) ** 2):
+    if norm > COMMUTATION_TOL * max(1.0, max((frob(l) for l in ls), default=0.0) ** 2):
         raise NotReverseEstimableError(norm)
     rho0 = points[base_index].rho
     ms = rho0.whiten(np.array([pt.rho.mat for pt in points]))

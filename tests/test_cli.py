@@ -349,6 +349,24 @@ class TestExitCodesAndSeeds:
         monkeypatch.setattr(reverse, "RESIDUAL_CAP", -1.0)  # enforced: every candidate is refused
         assert cli.main(argv) == 1
 
+    def test_global_commutation_tol_reads_enforced_constant(self, tmp_path, monkeypatch):
+        grid = np.linspace(0.2, 0.8, 3)
+        spec = write_json(tmp_path / "grid.json", {
+            "kind": "fixed_basis", "prob_table": np.stack([grid, 1 - grid], axis=1).tolist(),
+            "theta_grid": grid.tolist(),
+        })
+        out = tmp_path / "g.json"
+        argv = ["global", "--family", spec, "--out", str(out)]
+        assert cli.main(argv) == 0
+        res = json.loads(out.read_text())["results"]
+        assert res["tolerances"]["commutation"] == reverse.COMMUTATION_TOL and res["estimable"]
+        monkeypatch.setattr(reverse, "COMMUTATION_TOL", 2.5e-9)
+        assert cli.main(argv) == 0
+        assert json.loads(out.read_text())["results"]["tolerances"]["commutation"] == 2.5e-9
+        monkeypatch.setattr(reverse, "COMMUTATION_TOL", -1.0)  # enforced: every grid is refused
+        assert cli.main(argv) == 0
+        assert json.loads(out.read_text())["results"]["estimable"] is False
+
     def test_monotone_slack_reads_enforced_constant(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         out = tmp_path / "r.json"
@@ -488,6 +506,37 @@ class TestSpecErrors:
     def test_non_object_spec_refused(self, obj, tmp_path, capsys):
         spec = write_json(tmp_path / "s.json", obj)
         self._fails(["fisher", "--family", spec], capsys, "expected a JSON object")
+
+    def test_tangent_trace_named(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "e.json", {
+            "kind": "explicit", "rho": [[0.9, 0.0], [0.0, 0.1]], "tangents": [[[0.5, 0.0], [0.0, -0.499999]]],
+        })
+        self._fails(["fisher", "--family", spec], capsys, "tangent trace 1.000e-06")
+
+    def test_classical_simplex_scores_are_dp(self, tmp_path):
+        # J = sum_x (d p_x)^2 / p_x = 0.01/0.2 + 0.09/0.3 + 0.04/0.5 for every metric on a classical family
+        spec = write_json(tmp_path / "c.json", {
+            "kind": "classical_simplex", "probs": [0.2, 0.3, 0.5], "scores": [[0.1, -0.3, 0.2]],
+        })
+        out = tmp_path / "r.json"
+        assert cli.main(["fisher", "--family", spec, "--out", str(out)]) == 0
+        res = json.loads(out.read_text())["results"]
+        for kind in ("sld_fisher", "km_fisher", "rld_fisher"):
+            assert res[kind]["real_part"] == [[pytest.approx(0.43, abs=1e-12)]]
+
+    def test_classical_simplex_log_derivative_scores_refused(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "c.json", {"kind": "classical_simplex", "probs": [0.2, 0.8], "scores": [[4, -1]]})
+        self._fails(["fisher", "--family", spec], capsys, "score rows must sum to 0, got [3.]")
+
+    def test_gaussian_spec_kind(self, tmp_path, capsys):
+        spec = write_json(tmp_path / "g.json", {"kind": "gaussian", "truncation": 40})
+        out = tmp_path / "r.json"
+        assert cli.main(["bound", "--family", spec, "--out", str(out)]) == 0
+        (check,) = json.loads(out.read_text())["results"]["checks"]
+        assert check["name"] == "oracle_vs_closed" and check["passed"]
+        # the truncated state has eigenvalues below the support cutoff, so no SLD; m = 2, so no LRE
+        self._fails(["fisher", "--family", spec], capsys, "state is rank deficient")
+        self._fails(["reverse", "--family", spec], capsys, "1-dim families")
 
     def test_multiparameter_km_reported(self, tmp_path):
         spec = write_json(tmp_path / "e.json", {

@@ -3,23 +3,27 @@
 The RLD divergence against a 50-digit mpmath evaluation; the two-point
 estimate and the optimal local reverse estimate against the whitened-
 matrix formulas they replace; stacks against per-member calls; the
-cached eigenbasis tangents and the once-per-point RLD existence check.
+cached eigenbasis tangents and the once-per-point RLD existence check;
+how many decompositions the SLD and the finite differences make.
 """
 
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
-from qig import fisher
-from qig.channels import random_family_point
+from qig import fisher, linalg
+from qig.channels import optimal_sld_povm, random_family_point
 from qig.divergence import rld_divergence, two_point_reverse_estimate
 from qig.errors import RldExistenceError
-from qig.fisher import km_fisher, rld_fisher, sld_fisher
+from qig.families import bloch_rotation_point
+from qig.fisher import km_fisher, rld_fisher, sld, sld_fisher
+from qig.harness import GaussianSpec, gaussian_family
 from qig.linalg import RANK_TOL, support_leak
 from qig.reverse import local_reverse_estimate
-from qig.states import DensityMatrix, FamilyPoint
+from qig.states import DensityMatrix, FamilyPoint, canonical_amplitude, lift_tangent, project
 
 from conftest import geometric, haar, state
 
@@ -221,6 +225,57 @@ class TestPointCache:
             with pytest.raises(RldExistenceError):
                 rld_fisher(point)
         assert len(calls) == 3
+
+
+# --- one decomposition per state ---------------------------------------------
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """count(fn) -> (linalg.eig_hermitian calls, np.linalg.eigh calls) that fn() makes, wherever qig holds either."""
+    counts = {"eig_hermitian": 0, "eigh": 0}
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    eig = linalg.eig_hermitian
+    for mod in [m for name, m in sys.modules.items() if name.startswith("qig.")]:
+        if getattr(mod, "eig_hermitian", None) is eig:
+            monkeypatch.setattr(mod, "eig_hermitian", counted("eig_hermitian", eig))
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+
+    def count(fn):
+        counts.update(eig_hermitian=0, eigh=0)
+        fn()
+        return counts["eig_hermitian"], counts["eigh"]
+    return count
+
+
+class TestDecompositionCounts:
+    """Each state is decomposed once, when it is built; the SLD and finite differences reuse that spectrum."""
+
+    def test_sld_and_lift_decompose_nothing_more(self, decompositions):
+        point = random_family_point(5, 1, seed=6)
+        x = point.tangents[0]
+        assert decompositions(lambda: sld(point.rho, x)) == (0, 0)
+        w = canonical_amplitude(point.rho)
+        built = decompositions(lambda: project(w, "system"))  # lift_tangent builds rho = W W^dag itself
+        assert built == (1, 1)
+        assert decompositions(lambda: lift_tangent(w, x, "SLD")) == built
+
+    def test_optimal_sld_povm_decomposes_l_only(self, decompositions):
+        point = random_family_point(5, 1, seed=7)
+        assert decompositions(lambda: optimal_sld_povm(point)) == (0, 1)
+
+    @pytest.mark.parametrize("build", [
+        lambda: bloch_rotation_point(0.8, 0.3, 1e-5),
+        lambda: gaussian_family(GaussianSpec(truncation=40)),
+    ], ids=["bloch", "gaussian"])
+    def test_finite_differences_decompose_the_centre_only(self, decompositions, build):
+        assert decompositions(build) == (1, 1)
 
 
 # --- support_leak on a full support -------------------------------------------

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qig.channels import random_family_point
-from qig.errors import RankDeficiencyError, RldExistenceError, SingularFamilyError
+from qig.errors import DimensionMismatchError, RankDeficiencyError, RldExistenceError, SingularFamilyError
 from qig.families import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
     bloch_rotation_point,
-    bloch_rotation_state,
+    bloch_rotation_matrix,
     classical_simplex_point,
 )
 from qig.fisher import (
@@ -41,6 +41,13 @@ class TestQFisherMatrix:
         j = QFisherMatrix(2, np.eye(2), np.zeros((2, 2)), "RLD")
         with pytest.raises(ValueError):
             _ = j.scalar
+
+    def test_m_follows_the_matrix(self):
+        assert QFisherMatrix.from_complex(np.eye(3), "RLD").m == 3
+        assert QFisherMatrix(2, np.zeros((4, 2, 2)), np.zeros((4, 2, 2)), "SLD").m == 2  # a stack of 2 x 2
+        for m in (1, 3):  # m = 1 would read .scalar off a 2 x 2 matrix; m = 3 failed later in multiparam_bounds
+            with pytest.raises(DimensionMismatchError, match=f"m = {m}"):
+                QFisherMatrix(m, np.eye(2), np.zeros((2, 2)), "SLD")
 
 
 class TestSld:
@@ -214,6 +221,16 @@ class TestClassicalFisher:
         pt = ClassicalFamilyPoint([0.0], [0.5, 0.5, 0.0], [[0.5, -0.5, 0.0]])
         assert classical_fisher(pt).scalar == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("probs, scores, message", [
+        ([1.1, -0.1], [[0.5, -0.5]], "negative probability"),
+        ([0.5, 0.4], [[0.5, -0.5]], "probabilities sum to"),
+        ([0.5, 0.5], [[0.5, -0.25, -0.25]], "score/probability length mismatch"),
+        ([0.2, 0.8], [[4.0, -1.0]], r"score rows must sum to 0, got \[3\.\]"),  # d log p, not d p
+    ])
+    def test_invalid_point_refused(self, probs, scores, message):
+        with pytest.raises(ValueError, match=message):
+            ClassicalFamilyPoint([0.0], probs, scores)
+
 
 class TestScalarSandwichAndCollapse:
     def test_scalar_sandwich_bulk(self):
@@ -254,7 +271,7 @@ class TestImagPart:
 class TestFiniteDifference:
     def test_matches_analytic_bloch(self):
         fd = finite_difference_tangents(
-            lambda th: bloch_rotation_state(0.8, float(th[0])), [0.3], 1e-5
+            lambda th: bloch_rotation_matrix(0.8, float(th[0])), [0.3], 1e-5
         )
         analytic = bloch_rotation_point(0.8, 0.3)
         assert frob(fd.tangents[0] - analytic.tangents[0]) <= 1e-7

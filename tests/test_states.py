@@ -6,8 +6,10 @@ from qig.errors import DimensionMismatchError, GaugeError, RankDeficiencyError
 from qig.families import PAULI_X, PAULI_Z
 from qig.linalg import frob
 from qig.states import (
+    TANGENT_TRACE_TOL,
     AmplitudeMatrix,
     DensityMatrix,
+    FamilyPoint,
     canonical_amplitude,
     duality_gap,
     gauge_transform,
@@ -52,6 +54,21 @@ class TestDensityMatrix:
         assert np.allclose(rho.func(np.log), np.diag([np.log(0.6), np.log(0.4), 0.0]), atol=1e-15)
         assert np.allclose(rho.func(np.reciprocal), np.diag([1 / 0.6, 1 / 0.4, 0.0]), atol=1e-15)
         assert np.allclose(rho.func(lambda v: v ** -0.5), np.diag([0.6 ** -0.5, 0.4 ** -0.5, 0.0]), atol=1e-15)
+
+
+class TestFamilyPoint:
+    def test_tangent_shape_mismatch_refused(self):
+        with pytest.raises(DimensionMismatchError, match="tangent shapes"):
+            FamilyPoint([0.0], DensityMatrix(0.5 * np.eye(2)), [np.zeros((3, 3))])
+
+    def test_tangent_trace_refused(self):
+        x = np.diag([0.5, -0.5]) + 1e-6 * np.eye(2) / 2  # trace 1e-6
+        with pytest.raises(ValueError, match=f"tangent trace 1.000e-06 exceeds {TANGENT_TRACE_TOL}"):
+            FamilyPoint([0.0], DensityMatrix(0.5 * np.eye(2)), [x])
+
+    def test_tangent_count_refused(self):
+        with pytest.raises(DimensionMismatchError, match="1 tangents for 2 parameters"):
+            FamilyPoint([0.0, 0.0], DensityMatrix(0.5 * np.eye(2)), [0.5 * PAULI_Z])
 
 
 class TestAmplitude:
