@@ -135,10 +135,16 @@ def as_rng(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
+def ginibre_split(z: np.ndarray, blocks) -> list[np.ndarray]:
+    """One complex (..., k, n, n) stack per (k, n) block, from normals (..., N) in draw order, real parts first."""
+    ends = np.cumsum([0] + [2 * k * n * n for k, n in blocks])
+    ws = [z[..., a:b].reshape(*z.shape[:-1], k, 2, n, n) for a, b, (k, n) in zip(ends, ends[1:], blocks)]
+    return [w[..., 0, :, :] + 1j * w[..., 1, :, :] for w in ws]
+
+
 def ginibre(rng: np.random.Generator, k: int, dim: int) -> np.ndarray:
-    """Draw step of every generator: k complex Ginibre (dim, dim) matrices, each real part drawn first."""
-    z = rng.normal(size=(k, 2, dim, dim))
-    return z[:, 0] + 1j * z[:, 1]
+    """Draw step of every generator: k complex Ginibre (dim, dim) matrices, the one-row ginibre_split."""
+    return ginibre_split(rng.normal(size=2 * k * dim * dim), ((k, dim),))[0]
 
 
 # Build steps: each maps Ginibre draws, or a (n, ...) stack of them, to its instance.

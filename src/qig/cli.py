@@ -225,7 +225,10 @@ def _cmd_divergence(args):
 def _cmd_bound(args):
     spec, point = _load_family(args)
     jr = rld_fisher(point)
-    g = io.load_matrix(args.weight, "weight").real if args.weight else np.eye(point.m)
+    g = io.load_matrix(args.weight, "weight") if args.weight else np.eye(point.m)
+    if np.any(g.imag):
+        raise SpecFileError(f"{args.weight}: field 'weight' has a nonzero imaginary part; the weight must be real")
+    g = g.real
     mb = multiparam_bounds(jr, g)
     print(f"reverse-estimation bound : {_fmt(mb.reverse)}")
     print(f"estimation bound         : {_fmt(mb.estimation)}")

@@ -1,9 +1,9 @@
 """Randomized verification suites and the truncated Gaussian family.
 
-The suites draw seeded random instances trial by trial, evaluate the
-metric/divergence sandwich and monotonicity checks once per dimension on
-stacks of them, and collect slacks: a check of the form "a <= b" records
-the slack b - a, and a violation is a slack below -tolerance.
+The suites draw each trial's seeded Ginibre blocks with one normal call,
+evaluate the metric/divergence sandwich and monotonicity checks once per
+dimension on complex stacks of them, and collect slacks: a check "a <= b"
+records the slack b - a; a violation is a slack not >= -tolerance (or NaN).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermgauss
 
 from .channels import (
-    apply_channel, child_rng, density_from, family_point_from, ginibre, kraus_from, measure,
+    apply_channel, child_rng, density_from, family_point_from, ginibre_split, kraus_from, measure,
     optimal_sld_povm, povm_from,
 )
 from .divergence import rld_divergence, two_point_reverse_estimate, umegaki
@@ -52,27 +52,27 @@ class SuiteReport:
         violations = [
             (int(t), name, float(v[t]))
             for name, v in slacks.items()
-            for t in np.flatnonzero(np.asarray(v) < -tol)
+            for t in np.flatnonzero(~(np.asarray(v) >= -tol))  # NaN too
         ]
-        return cls(suite, master_seed, trials, slack_range, violations, not violations,
-                   details or {})
+        return cls(suite, master_seed, trials, slack_range, violations, not violations, details or {})
 
 
-def _run_stacked(suite, trials, dims, seed, draw, evaluate) -> SuiteReport:
-    """Draw each trial t from child_rng(seed, t), in order; evaluate each dimension's draws as stacks.
+def _run_stacked(suite, trials, dims, seed, blocks, evaluate) -> SuiteReport:
+    """Draw trial t from child_rng(seed, t): its dimension, then one normal row for the Ginibre `blocks(dim)`.
 
-    `evaluate` returns {check: slacks}, scattered back to the trials.  On a
-    raise, the first trial that fails on its own is re-raised, named.
+    Each dimension's rows become (trials, k, n, n) stacks in one split; `evaluate` returns {check: slacks},
+    scattered back to the trials.  On a raise, the first trial that fails on its own is re-raised, named.
     """
     dims = [int(d) for d in dims]
     if trials < 1 or not dims or min(dims) < 2:
         raise ValueError(f"suites need trials >= 1 and every dim >= 2, got {trials} trials, dims {dims}")
+    sizes = {dim: sum(2 * k * n * n for k, n in blocks(dim)) for dim in dims}
     groups, slacks = {}, {}
     for t in range(trials):
         rng = child_rng(seed, t)
         dim = dims[rng.integers(len(dims))]
-        groups.setdefault(dim, []).append((t, draw(dim, rng)))
-    stacked = [(idx, [np.stack(a) for a in zip(*drawn)]) for idx, drawn in (zip(*g) for g in groups.values())]
+        groups.setdefault(dim, {})[t] = rng.normal(size=sizes[dim])
+    stacked = [(list(g), ginibre_split(np.stack(list(g.values())), blocks(dim))) for dim, g in groups.items()]
     try:
         values = [evaluate(*stacks) for _, stacks in stacked]
     except (QigError, ValueError):
@@ -86,7 +86,7 @@ def _run_stacked(suite, trials, dims, seed, draw, evaluate) -> SuiteReport:
         raise
     for (idx, _), checks in zip(stacked, values):
         for name, v in checks.items():
-            slacks.setdefault(name, np.empty(trials))[list(idx)] = v
+            slacks.setdefault(name, np.empty(trials))[idx] = v
     return SuiteReport.build(suite, seed, trials, slacks, METRIC_SLACK_TOL)
 
 
@@ -96,7 +96,7 @@ def _metric_checks(g_point, g_povm, g_channel) -> dict:
     jm = classical_fisher(measure(point, povm_from(g_povm))).scalar
     jopt = classical_fisher(measure(point, optimal_sld_povm(point))).scalar
     jin = input_fisher(local_reverse_estimate(point)).scalar
-    image = apply_channel(point, kraus_from(g_channel, point.dim))
+    image = apply_channel(point, kraus_from(g_channel[:, 0], point.dim))
     return {
         "km_minus_sld": jkm - js, "rld_minus_km": jr - jkm,
         "sld_minus_measured": js - jm, "optimal_povm_equality": -abs(jopt - js),
@@ -109,14 +109,14 @@ def _metric_checks(g_point, g_povm, g_channel) -> dict:
 def monotone_metric_suite(trials: int, dims=(2, 3), seed: int = 42) -> SuiteReport:
     """Sandwich J^S <= J^KM <= J^R, measurement bound, LRE equality, CPT monotonicity."""
     # the draws of random_family_point(dim), random_povm(dim, 3) and random_kraus(dim)
-    draw = lambda dim, rng: (ginibre(rng, 2, dim), ginibre(rng, 3, dim), ginibre(rng, 1, 2 * dim)[0])
-    return _run_stacked("monotone_metric", trials, dims, seed, draw, _metric_checks)
+    blocks = lambda dim: ((2, dim), (3, dim), (1, 2 * dim))
+    return _run_stacked("monotone_metric", trials, dims, seed, blocks, _metric_checks)
 
 
 def _divergence_checks(g_pair, g_channel, g_qubits) -> dict:
     rho, sigma = density_from(g_pair[:, 0]), density_from(g_pair[:, 1])
     du, dr = umegaki(rho, sigma), rld_divergence(rho, sigma)
-    ch = kraus_from(g_channel, rho.dim)
+    ch = kraus_from(g_channel[:, 0], rho.dim)
     rho_c, sigma_c = DensityMatrix(ch.apply(rho.mat)), DensityMatrix(ch.apply(sigma.mat))
     rho2, sigma2 = density_from(g_qubits[:, 0]), density_from(g_qubits[:, 1])
     n, d = len(rho.mat), 2 * rho.dim
@@ -134,8 +134,8 @@ def _divergence_checks(g_pair, g_channel, g_qubits) -> dict:
 def monotone_divergence_suite(trials: int, dims=(2, 3), seed: int = 43) -> SuiteReport:
     """Umegaki <= D^R, CPT monotonicity, additivity, and two-point achievability."""
     # the draws of rho and sigma (random_density(dim)), random_kraus(dim) and a qubit pair
-    draw = lambda dim, rng: (ginibre(rng, 2, dim), ginibre(rng, 1, 2 * dim)[0], ginibre(rng, 2, 2))
-    return _run_stacked("monotone_divergence", trials, dims, seed, draw, _divergence_checks)
+    blocks = lambda dim: ((2, dim), (1, 2 * dim), (2, 2))
+    return _run_stacked("monotone_divergence", trials, dims, seed, blocks, _divergence_checks)
 
 
 # --- Fock-truncated Gaussian family ------------------------------------------

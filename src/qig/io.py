@@ -9,6 +9,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 
@@ -28,10 +30,11 @@ def encode_matrix(mat) -> list:
 
 
 def decode_entry(e) -> complex:
+    _number = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)  # JSON true/false are not numbers
     try:
-        if isinstance(e, (int, float)):
+        if _number(e):
             return complex(e)
-        if isinstance(e, (list, tuple)) and len(e) == 2 and all(isinstance(v, (int, float)) for v in e):
+        if isinstance(e, (list, tuple)) and len(e) == 2 and all(_number(v) for v in e):
             return complex(e[0], e[1])
     except OverflowError:  # an integer literal beyond the float range
         raise SpecFileError(f"cannot decode matrix entry {str(e)[:20]}...: beyond the float range") from None
@@ -43,9 +46,12 @@ def decode_matrix(obj) -> np.ndarray:
         raise SpecFileError(f"cannot decode matrix: expected a list of rows, got {type(obj).__name__}")
     try:  # fast path: all bare numbers, or all [re, im] pairs
         arr = np.asarray(obj)
-        fast = arr.dtype.kind in "biuf" and (arr.ndim == 2 or arr.shape[2:] == (2,))
+        fast = arr.dtype.kind in "iuf" and (arr.ndim == 2 or arr.shape[2:] == (2,))
     except ValueError:  # ragged rows, or numbers mixed with pairs
         fast = False
+    if fast:  # numpy reads true/false as 1/0, so only the entries equal to 0 or 1 can be booleans
+        hits = np.unravel_index(np.flatnonzero((arr == 0) | (arr == 1)), arr.shape)
+        fast = not any(type(reduce(getitem, i, obj)) is bool for i in zip(*(h.tolist() for h in hits)))
     if fast:
         mat = arr.astype(complex) if arr.ndim == 2 else np.asarray(arr, dtype=float).view(complex)[..., 0]
     else:  # per entry, so a bad entry is named

@@ -8,6 +8,8 @@ from qig.channels import (
     apply_channel,
     child_rng,
     cq_map,
+    ginibre,
+    ginibre_split,
     measure,
     optimal_sld_povm,
     random_density,
@@ -219,6 +221,30 @@ class TestRandomInstances:
     def test_unitary_is_unitary(self):
         u = random_unitary(3, 5)
         assert frob(u @ u.conj().T - np.eye(3)) <= 1e-12
+
+    @pytest.mark.parametrize("blocks", [
+        ((2, 2), (3, 2), (1, 4)),  # the metric suite at d = 2
+        ((2, 3), (1, 6), (2, 2)),  # the divergence suite at d = 3
+        ((1, 6), (3, 3), (2, 2), (1, 2)),
+    ])
+    def test_split_of_one_draw_equals_successive_ginibre_calls(self, blocks):
+        size = sum(2 * k * n * n for k, n in blocks)
+        rows, want = [], []
+        for seed in range(4):
+            rows.append(np.random.default_rng(seed).normal(size=size))
+            twin = np.random.default_rng(seed)
+            want.append([ginibre(twin, k, n) for k, n in blocks])
+        got = ginibre_split(np.stack(rows), blocks)
+        assert [g.shape for g in got] == [(4, k, n, n) for k, n in blocks]
+        for t, drawn in enumerate(want):
+            for g, w in zip(got, drawn):
+                assert g.dtype == w.dtype == complex and g[t].tobytes() == w.tobytes()
+        one = ginibre_split(rows[0], blocks)  # one row: the ginibre shapes themselves
+        assert all(g.tobytes() == w.tobytes() and g.shape == w.shape for g, w in zip(one, want[0]))
+
+    def test_ginibre_real_part_first(self):
+        z = np.random.default_rng(3).normal(size=(2, 2, 3, 3))
+        assert np.array_equal(ginibre(np.random.default_rng(3), 2, 3), z[:, 0] + 1j * z[:, 1])
 
     def test_child_rng_reproducible_and_distinct(self):
         a = child_rng(42, 0).normal(size=3)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qig import cli, divergence, fisher, harness, io, reverse
+from qig.errors import SpecFileError
 from qig.harness import SuiteReport
 from qig.reverse import ORACLE_GAP_TOL
 
@@ -276,6 +277,22 @@ class TestBoundAndGaussian:
         (check,) = res["checks"]
         assert check["passed"] is None and check["skipped"]
 
+    def test_bound_complex_weight_refused(self, twopar_spec, tmp_path, capsys):
+        # the Hermitian weight [[1, 0.5i], [-0.5i, 1]] used to run as G = I
+        weight = write_json(tmp_path / "w.json", {"weight": [[1.0, [0.0, 0.5]], [[0.0, -0.5], 1.0]]})
+        args = cli.build_parser().parse_args(["bound", "--family", twopar_spec, "--weight", weight])
+        with pytest.raises(SpecFileError, match="'weight' has a nonzero imaginary part"):
+            cli._cmd_bound(args)
+        out = tmp_path / "b.json"
+        assert cli.main(["bound", "--family", twopar_spec, "--weight", weight, "--out", str(out)]) == 1
+        assert "'weight'" in capsys.readouterr().err and not out.exists()
+
+    def test_bound_real_weight_as_pairs_accepted(self, twopar_spec, tmp_path):
+        weight = write_json(tmp_path / "w.json", {"weight": [[[2.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [1.0, 0.0]]]})
+        out = tmp_path / "b.json"
+        assert cli.main(["bound", "--family", twopar_spec, "--weight", weight, "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["results"]["weight"] == [[2.0, 0.5], [0.5, 1.0]]
+
     def test_gaussian_passes(self, tmp_path):
         out = tmp_path / "g.json"
         assert cli.main(
@@ -300,6 +317,23 @@ class TestExitCodesAndSeeds:
             {"kind": "explicit", "rho": [["x", 0.0], [0.0, 1.0]], "tangents": []},
         )
         assert cli.main(["fisher", "--family", bad]) == 1
+
+    def test_boolean_matrix_entries_refused(self, tmp_path, capsys):
+        # numpy reads a float/bool mix as floats: this ran as J = 4 and echoed the booleans as numbers
+        spec = write_json(tmp_path / "bools.json", {
+            "kind": "explicit", "rho": [[0.5, False], [False, 0.5]],
+            "tangents": [[[True, 0.0], [0.0, -1.0]]],
+        })
+        out = tmp_path / "r.json"
+        assert cli.main(["fisher", "--family", spec, "--out", str(out)]) == 1
+        assert "field 'rho': cannot decode matrix entry False" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_slack_fails_the_suite(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "umegaki", lambda rho, sigma: np.full(len(rho.mat), np.nan))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["monotone", "--trials", "5"]) == 2
+        assert "pass False" in capsys.readouterr().out
 
     def test_suite_violation_exit_2(self, tmp_path, monkeypatch):
         failing = SuiteReport("monotone_metric", 0, 1, {}, [(0, "check", -1.0)], False)

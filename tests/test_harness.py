@@ -202,6 +202,36 @@ class TestStackedSuites:
         assert [v[2] for v in got.violations] == pytest.approx([v[2] for v in want.violations], rel=0, abs=1e-12)
 
     @pytest.mark.parametrize("kind", list(SUITES))
+    @pytest.mark.parametrize("trials, dims", [(1, (2, 3)), (1, (3,)), (12, (3,)), (7, (2, 2))])
+    def test_one_trial_or_one_dimension_matches_reference_loop(self, kind, trials, dims):
+        got = SUITES[kind][0](trials, dims, 8)
+        want = reference_report(kind, trials, dims, 8)
+        assert_same_ranges(got.slack_range, want.slack_range)
+        assert got.violations == want.violations == []
+
+    @pytest.mark.parametrize("kind", list(SUITES))
+    def test_one_integers_and_one_normal_call_per_trial(self, kind, monkeypatch):
+        calls = []
+
+        class Spy:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def __getattr__(self, name):
+                calls.append((self.t, name))
+                return getattr(self.rng, name)
+
+        def spied(seed, t):
+            spy = Spy(child_rng(seed, t))
+            spy.t = t
+            return spy
+
+        monkeypatch.setattr(harness, "child_rng", spied)
+        got = SUITES[kind][0](9, (2, 3), 4)
+        assert calls == [(t, name) for t in range(9) for name in ("integers", "normal")]
+        assert_same_ranges(got.slack_range, reference_report(kind, 9, (2, 3), 4).slack_range)
+
+    @pytest.mark.parametrize("kind", list(SUITES))
     def test_corrupted_member_raises_and_names_trial(self, kind, monkeypatch):
         # Kraus draws whose first Ginibre entry is large lose trace preservation; at seed 10
         # the first such trial lies in the second dimension evaluated, and the first has later ones
@@ -218,6 +248,22 @@ class TestStackedSuites:
         assert type(got.value) is type(ref.value)
         assert str(got.value) == str(ref.value)
         assert "not trace preserving" in str(ref.value)
+
+
+class TestSuiteReport:
+    def test_nan_slack_is_a_violation(self):
+        rep = SuiteReport.build("s", 0, 3, {"a": np.array([0.5, np.nan, -1.0]), "b": np.zeros(3)}, 1e-8)
+        assert not rep.passed
+        assert [v[:2] for v in rep.violations] == [(1, "a"), (2, "a")]
+        assert np.isnan(rep.violations[0][2])
+
+    def test_nan_divergence_fails_the_suite(self, monkeypatch):
+        monkeypatch.setattr(harness, "umegaki", lambda rho, sigma: np.full(len(rho.mat), np.nan))
+        rep = monotone_divergence_suite(20, (2, 3), 5)
+        assert not rep.passed
+        assert np.isnan(rep.slack_range["rld_minus_umegaki"]).all()
+        assert {v[1] for v in rep.violations} == {"rld_minus_umegaki", "cpt_umegaki", "additivity_umegaki"}
+        assert sorted({v[0] for v in rep.violations}) == list(range(20))
 
 
 class TestGaussianFamily:

@@ -1,6 +1,7 @@
 """Matrix codec: the array fast paths agree bit for bit with the per-entry forms."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -53,7 +54,32 @@ def json_matrices(draw):
 @settings(max_examples=150, deadline=None)
 @given(json_matrices())
 def test_decode_matches_per_entry(obj):
-    assert same_bits(io.decode_matrix(obj), decode_per_entry(obj))
+    try:
+        want = decode_per_entry(obj)
+    except SpecFileError as exc:  # a JSON true/false is refused on both paths, by the same entry
+        with pytest.raises(SpecFileError) as err:
+            io.decode_matrix(obj)
+        assert str(err.value) == str(exc)
+    else:
+        assert same_bits(io.decode_matrix(obj), want)
+
+
+@pytest.mark.parametrize("obj, entry", [
+    ([[0.5, False], [False, 0.5]], "False"),  # numpy reads the mix as floats
+    ([[True, 0.0], [0.0, -1.0]], "True"),
+    ([[True, False]], "True"),  # numpy reads this as a bool array
+    ([[1, 0], [0, True]], "True"),  # and this as integers
+    ([[[0.5, 0.0], [0.0, False]]], "[0.0, False]"),  # inside an [re, im] pair
+    ([[1.0, [0.0, True]]], "[0.0, True]"),  # numbers mixed with pairs
+])
+def test_booleans_are_not_matrix_entries(obj, entry):
+    with pytest.raises(SpecFileError, match=rf"^cannot decode matrix entry {re.escape(entry)}: expected number"):
+        io.decode_matrix(obj)
+
+
+def test_zero_and_one_entries_still_decode():
+    assert same_bits(io.decode_matrix([[[1.0, 0.0], [0, 1]], [[0.0, -1.0], [1, 0]]]),
+                     np.array([[1.0, 1j], [complex(0.0, -1.0), 1.0]]))
 
 
 matrix_arrays = hnp.arrays(
