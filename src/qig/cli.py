@@ -266,7 +266,8 @@ def _cmd_gaussian(args):
     print(f"convention: {d['convention']}")
     _print_matrix("J^R numeric", d["j_rld_numeric"])
     _print_matrix("J^R closed form", d["j_rld_closed_form"])
-    print(f"  max relative entry error: {_fmt(d['max_relative_entry_error'])}")
+    print(f"  leakage {_fmt(d['leakage'])}, max relative entry error {_fmt(d['max_relative_entry_error'])} "
+          f"(tolerance {_fmt(d['tolerances']['entrywise_relative'])})")
     print(f"  reverse bound {_fmt(d['reverse_bound'])} (reference {_fmt(d['reverse_bound_reference'])}), "
           f"estimation bound {_fmt(d['estimation_bound'])}")
     print(f"  pass: {rep.passed}")

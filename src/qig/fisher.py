@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatchError, RankDeficiencyError, RldExistenceError, SingularFamilyError
-from .linalg import frob, herm, solve_lyapunov
+from .linalg import frob, solve_lyapunov
 from .states import DensityMatrix, FamilyPoint
 
 RLD_PSD_TOL = 1e-10  # rld_fisher refuses J^R with an eigenvalue below -RLD_PSD_TOL * max(1, ||J^R||_F)
@@ -179,11 +179,5 @@ def classical_fisher(point: ClassicalFamilyPoint) -> QFisherMatrix:
 def finite_difference_tangents(evaluator, theta, step: float) -> FamilyPoint:
     """FamilyPoint by central differences of a theta -> rho_theta matrix evaluator; decomposes the centre only."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    rho = DensityMatrix(evaluator(theta))
-    tangents = []
-    for h in step * np.eye(len(theta)):
-        x = herm((evaluator(theta + h) - evaluator(theta - h)) / (2.0 * step))
-        # derivative of a trace-one family; clean up quadrature residue
-        x -= (np.trace(x) / rho.dim) * np.eye(rho.dim)
-        tangents.append(x)
-    return FamilyPoint(theta, rho, tangents)
+    tangents = [(evaluator(theta + h) - evaluator(theta - h)) / (2.0 * step) for h in step * np.eye(len(theta))]
+    return FamilyPoint(theta, DensityMatrix(evaluator(theta)), tangents)  # FamilyPoint takes their Hermitian parts

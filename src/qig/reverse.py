@@ -265,7 +265,10 @@ class MultiparamBounds:
 
 
 def _checked_weight(g, m: int) -> np.ndarray:
-    g = np.asarray(g, dtype=float)
+    g = np.asarray(g)
+    if np.any(g.imag):
+        raise ValueError(f"weight has a nonzero imaginary part, max |Im G| = {np.abs(g.imag).max():.3e}")
+    g = np.asarray(g.real, dtype=float)
     if g.shape != (m, m):
         raise DimensionMismatchError(f"weight shape {g.shape} vs m = {m}")
     g = 0.5 * (g + g.T)

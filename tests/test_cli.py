@@ -302,6 +302,29 @@ class TestBoundAndGaussian:
         assert doc["results"]["passed"]
         assert "alpha" in doc["results"]["details"]["convention"]
 
+    def test_gaussian_large_truncation_passes(self, tmp_path):
+        # sigma^2 = 2, hbar = 0.5, N = 120: the cut state's smallest eigenvalue is 4.6e-13
+        out = tmp_path / "g.json"
+        argv = ["gaussian", "--sigma2", "2", "--hbar", "0.5", "--truncation", "120", "--out", str(out)]
+        assert cli.main(argv) == 0
+        d = json.loads(out.read_text())["results"]["details"]
+        assert d["leakage"] == pytest.approx(0.8 ** 121, rel=1e-6)
+        assert d["spec"] == {"sigma2": 2.0, "hbar": 0.5, "truncation": 120, "theta": [0.0, 0.0]}
+        assert d["max_relative_entry_error"] <= d["tolerances"]["entrywise_relative"] <= 1e-9
+
+    def test_gaussian_scaled_rld_fails(self, tmp_path, monkeypatch):
+        # a J^R off by 0.1 % must fail the derived gate (the old 1e-2 tolerance let it pass)
+        def scaled(point):
+            jr = fisher.rld_fisher(point)
+            return fisher.QFisherMatrix(jr.m, 1.001 * jr.real_part, 1.001 * jr.imag_part, "RLD")
+
+        monkeypatch.setattr(harness, "rld_fisher", scaled)
+        out = tmp_path / "g.json"
+        assert cli.main(["gaussian", "--out", str(out)]) == 2
+        doc = json.loads(out.read_text())["results"]
+        assert not doc["passed"]
+        assert {v[1] for v in doc["violations"]} == {"entrywise_relative", "reverse_bound"}
+
 
 class TestExitCodesAndSeeds:
     def test_missing_file_is_input_error(self, capsys):

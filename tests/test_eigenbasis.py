@@ -20,7 +20,6 @@ from qig.divergence import rld_divergence, two_point_reverse_estimate
 from qig.errors import RldExistenceError
 from qig.families import bloch_rotation_point
 from qig.fisher import km_fisher, rld_fisher, sld, sld_fisher
-from qig.harness import GaussianSpec, gaussian_family
 from qig.linalg import RANK_TOL, support_leak
 from qig.reverse import local_reverse_estimate
 from qig.states import DensityMatrix, FamilyPoint, canonical_amplitude, lift_tangent, project
@@ -270,10 +269,7 @@ class TestDecompositionCounts:
         point = random_family_point(5, 1, seed=7)
         assert decompositions(lambda: optimal_sld_povm(point)) == (0, 1)
 
-    @pytest.mark.parametrize("build", [
-        lambda: bloch_rotation_point(0.8, 0.3, 1e-5),
-        lambda: gaussian_family(GaussianSpec(truncation=40)),
-    ], ids=["bloch", "gaussian"])
+    @pytest.mark.parametrize("build", [lambda: bloch_rotation_point(0.8, 0.3, 1e-5)], ids=["bloch"])
     def test_finite_differences_decompose_the_centre_only(self, decompositions, build):
         assert decompositions(build) == (1, 1)
 

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -280,21 +281,24 @@ class TestGaussianFamily:
 
     def test_reference_point_matches_closed_form(self):
         spec = GaussianSpec(sigma2=1.0, hbar=1.0, truncation=80)
+        rep = gaussian_check(spec)
         jr = rld_fisher(gaussian_family(spec))
         jref = gaussian_closed_form(spec)
         rel = np.max(np.abs(jr.as_complex() - jref) / np.abs(jref))
-        assert rel <= 1e-2
-        # much tighter in practice; the sign structure of the imaginary
-        # part is the convention-sensitive bit
-        assert jr.imag_part[0, 1] == pytest.approx(-0.25, abs=1e-3)
+        assert rel <= rep.details["tolerances"]["entrywise_relative"] <= 1e-9
+        # the sign structure of the imaginary part is the convention-sensitive bit
+        assert jr.imag_part[0, 1] == pytest.approx(-0.25, abs=1e-9)
 
     def test_check_report_contents(self):
         rep = gaussian_check(GaussianSpec(sigma2=1.0, hbar=1.0, truncation=80))
         assert rep.passed
-        assert rep.details["convention"] == COHERENT_CONVENTION
-        assert rep.details["max_relative_entry_error"] <= 1e-2
-        assert rep.details["reverse_bound"] == pytest.approx(2.0, abs=0.02)
-        assert rep.details["estimation_bound"] == pytest.approx(1.0, abs=0.02)
+        d = rep.details
+        assert d["convention"] == COHERENT_CONVENTION
+        assert d["spec"] == {"sigma2": 1.0, "hbar": 1.0, "truncation": 80, "theta": [0.0, 0.0]}
+        assert d["max_relative_entry_error"] <= d["tolerances"]["entrywise_relative"]
+        assert d["reverse_bound"] == pytest.approx(2.0, rel=d["tolerances"]["entrywise_relative"])
+        assert d["tolerances"]["reverse_bound"] == 2.0 * d["tolerances"]["entrywise_relative"]
+        assert d["estimation_bound"] == pytest.approx(1.0, abs=1e-9)
 
     def test_truncation_convergence(self):
         jref = gaussian_closed_form(GaussianSpec())
@@ -312,18 +316,126 @@ class TestGaussianFamily:
         rel = np.max(
             np.abs(base.as_complex() - shifted.as_complex()) / np.abs(base.as_complex())
         )
-        assert rel <= 1e-2
+        assert rel <= 1e-9
 
     def test_classical_limit(self):
         # wide Gaussian: J^R approaches the input Fisher sigma^(-2) I
-        spec = GaussianSpec(
-            sigma2=25.0, truncation=300, quad_nodes=151, radius_cut=12.0
-        )
-        jr = rld_fisher(gaussian_family(spec))
+        jr = rld_fisher(gaussian_family(GaussianSpec(sigma2=25.0, truncation=300)))
         target = np.eye(2) / 25.0
         rel = np.max(np.abs(jr.real_part - target) / np.abs(target).max())
         assert rel <= 0.05
 
+    @pytest.mark.parametrize("theta", [(0.0, 0.0), (0.5, -0.3)], ids=["centre", "displaced"])
+    @pytest.mark.parametrize("truncation", [40, 80, 120])
+    @pytest.mark.parametrize("nbar", [0.25, 1.0, 4.0])
+    @pytest.mark.parametrize("hbar", [0.5, 1.0])
+    def test_exact_family_within_derived_tolerance(self, hbar, nbar, truncation, theta):
+        rep = gaussian_check(GaussianSpec(sigma2=nbar * hbar, hbar=hbar, truncation=truncation, theta=theta))
+        assert rep.passed, rep.details
+        d = rep.details
+        tol = d["tolerances"]["entrywise_relative"]
+        assert d["max_relative_entry_error"] <= tol <= 2e-2
+        if theta == (0.0, 0.0):  # the cut-trace deficit is the thermal tail t_N
+            assert d["leakage"] == pytest.approx((nbar / (nbar + 1.0)) ** (truncation + 1), rel=1e-9, abs=1e-15)
+
     def test_fisher_matrix_psd_at_reference_point(self):
         jr = rld_fisher(gaussian_family(GaussianSpec(truncation=80)))
         assert np.linalg.eigvalsh(jr.as_complex()).min() >= -1e-10
+
+
+# --- the exact Gaussian state against 50-digit mpmath --------------------------
+
+
+def _mp_displaced_thermal(nbar, alpha, m, n):
+    """<m|D(alpha) rho_th D(alpha)^dag|n> from the Laguerre closed form, at the working precision."""
+    if m < n:
+        return mpmath.conj(_mp_displaced_thermal(nbar, alpha, n, m))
+    nbar, alpha = mpmath.mpf(nbar), mpmath.mpc(alpha)
+    x = abs(alpha) ** 2
+    return (nbar ** n / (1 + nbar) ** (m + 1) * mpmath.sqrt(mpmath.factorial(n) / mpmath.factorial(m))
+            * alpha ** (m - n) * mpmath.exp(-x / (1 + nbar)) * mpmath.laguerre(n, m - n, -x / (nbar * (1 + nbar))))
+
+
+def _mp_displacement(alpha, m, k):
+    """<m|D(alpha)|k>."""
+    alpha = mpmath.mpc(alpha)
+    x = abs(alpha) ** 2
+    if m < k:
+        return mpmath.conj(_mp_displacement(-alpha, k, m))
+    return (mpmath.sqrt(mpmath.factorial(k) / mpmath.factorial(m)) * alpha ** (m - k) * mpmath.exp(-x / 2)
+            * mpmath.laguerre(k, m - k, x))
+
+
+class TestGaussianMpmath:
+    def test_state_matches_displaced_thermal_sum(self):
+        # sum_k p_k <m|D|k><k|D^dag|n> over the thermal weights checks the closed form the library recurs on
+        nbar, alpha = 1.0, (0.5 + 0.3j) / np.sqrt(2.0)
+        rho = harness._displaced_thermal(nbar, alpha, 42)
+        with mpmath.workdps(50):
+            for m, n in [(3, 1), (10, 10), (41, 36)]:
+                ref = _mp_displaced_thermal(nbar, alpha, m, n)
+                assert abs(mpmath.mpc(rho[m, n]) - ref) <= 1e-13 * abs(ref)
+            total = mpmath.fsum(mpmath.mpf(2) ** -(k + 1) * _mp_displacement(alpha, 3, k)
+                                * mpmath.conj(_mp_displacement(alpha, 1, k)) for k in range(180))
+            assert abs(total - _mp_displaced_thermal(nbar, alpha, 3, 1)) <= mpmath.mpf(10) ** -45
+
+    def test_displaced_rld_entry_matches_mpmath(self):
+        spec = GaussianSpec(sigma2=1.0, hbar=1.0, truncation=20, theta=(0.5, -0.3))
+        jr = rld_fisher(gaussian_family(spec)).as_complex()
+        n, alpha = spec.truncation, (0.5 + 0.3j) / np.sqrt(2.0)
+        with mpmath.workdps(50):
+            rho = mpmath.matrix(n + 2, n + 2)
+            for i in range(n + 2):
+                for j in range(n + 2):
+                    rho[i, j] = _mp_displaced_thermal(1.0, alpha, i, j)
+            s = 1 / mpmath.sqrt(2 * spec.hbar)
+            g = [{}, {}]  # nonzero entries of G_q = s (a^dag - a) and G_p = -i s (a^dag + a)
+            for i in range(n + 1):
+                up = s * mpmath.sqrt(i + 1)
+                g[0][i + 1, i], g[0][i, i + 1] = up, -up
+                g[1][i + 1, i] = g[1][i, i + 1] = -1j * up
+            xs = [mpmath.matrix(n + 1, n + 1) for _ in g]
+            for x, gi in zip(xs, g):  # P [G_i, rho] P
+                for i in range(n + 1):
+                    for j in range(n + 1):
+                        x[i, j] = (sum(gi.get((i, l), 0) * rho[l, j] for l in (i - 1, i + 1) if l >= 0)
+                                   - sum(rho[i, l] * gi.get((l, j), 0) for l in (j - 1, j + 1) if l >= 0))
+            p_rho = rho[:n + 1, :n + 1]
+            tr = sum(p_rho[i, i] for i in range(n + 1))
+            xs = [(x - sum(x[i, i] for i in range(n + 1)) / tr * p_rho) / tr for x in xs]
+            inv = mpmath.inverse(p_rho / tr)
+            prod = xs[0] * inv * xs[1].transpose_conj()
+            j01 = sum(prod[i, i] for i in range(n + 1))  # J_01 = Tr X_0 rho^-1 X_1^dag
+            assert abs(mpmath.mpc(jr[0, 1]) - j01) <= 1e-12 * abs(j01)
+            assert abs(j01 - gaussian_closed_form(spec)[0, 1]) <= 1e-5  # N = 20 keeps a 4.8e-7 tail
+
+    def test_gate_term_is_the_exact_centre_error(self):
+        # sigma^2 = 2, hbar = 0.5, N = 40, theta = 0: in the Fock basis the cut state is diagonal, so
+        # J^R_ij = sum_ab G_i,ab conj(G_j,ab) (p_b - p_a)^2 / (t p_b) over the cut levels, at 50 digits.
+        # Its relative error is (N + 1) t_N / (nbar (1 - t_N)) exactly; the gate is GAUSSIAN_TAIL_C times
+        # (N + 1) t_N / nbar plus GAUSSIAN_ROUNDING_TOL.
+        sigma2, hbar, n = 2.0, 0.5, 40
+        d = gaussian_check(GaussianSpec(sigma2=sigma2, hbar=hbar, truncation=n)).details
+        with mpmath.workdps(50):
+            nbar = mpmath.mpf(sigma2) / mpmath.mpf(hbar)
+            r = nbar / (nbar + 1)
+            p = [(1 - r) * r ** k for k in range(n + 1)]
+            t = mpmath.fsum(p)
+            j00 = j01 = mpmath.mpf(0)
+            for k in range(n):  # pairs (k + 1, k) and (k, k + 1); |G_q| = |G_p| = sqrt((k + 1) / (2 hbar))
+                w = (k + 1) / (2 * mpmath.mpf(hbar)) * (p[k] - p[k + 1]) ** 2 / t
+                j00 += w / p[k] + w / p[k + 1]
+                j01 += 1j * (w / p[k] - w / p[k + 1])  # G_q conj(G_p): +i s^2 (k + 1) below, -i above
+            s2, hb = mpmath.mpf(sigma2), mpmath.mpf(hbar)
+            ref00, ref01 = (s2 + hb / 2) / ((s2 + hb) * s2), -0.5j * hb / ((s2 + hb) * s2)
+            tail = 1 - t  # = t_N
+            assert abs(tail - r ** (n + 1)) <= mpmath.mpf(10) ** -45
+            exact = (n + 1) * tail / (nbar * (1 - tail))
+            assert abs(1 - j00 / ref00 - exact) <= mpmath.mpf(10) ** -40
+            assert abs(1 - j01 / ref01 - exact) <= mpmath.mpf(10) ** -40
+            assert float(j01.imag) == pytest.approx(d["j_rld_numeric"][0, 1].imag, rel=1e-12)
+            assert d["max_relative_entry_error"] == pytest.approx(float(exact), rel=1e-10)
+            assert d["leakage"] == pytest.approx(float(tail), rel=1e-10)
+            term = float((n + 1) * tail / nbar)
+        assert d["tolerances"]["entrywise_relative"] == pytest.approx(
+            harness.GAUSSIAN_TAIL_C * term + harness.GAUSSIAN_ROUNDING_TOL, rel=1e-12)

@@ -236,6 +236,14 @@ class TestMultiparamBounds:
         with pytest.raises(ValueError):
             multiparam_bounds(jr, np.diag([1.0, -1.0]))
 
+    @pytest.mark.parametrize("solve", [multiparam_bounds, min_trace_oracle])
+    def test_complex_weight_refused(self, solve):
+        # the Hermitian weight [[1, 0.5i], [-0.5i, 1]] used to run as G = I, with only a ComplexWarning
+        jr = rld_fisher(random_family_point(2, 2, seed=3))
+        with pytest.raises(ValueError, match="nonzero imaginary part"):
+            solve(jr, np.array([[1.0, 0.5j], [-0.5j, 1.0]]))
+        assert solve(jr, np.eye(2, dtype=complex)) is not None  # a zero imaginary part is a real weight
+
 
 def assert_certified(res, closed):
     """The oracle's bracket holds the closed form and is as tight as promised."""

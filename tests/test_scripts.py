@@ -3,8 +3,6 @@ from pathlib import Path
 
 import pytest
 
-from qig.harness import GaussianSpec, _gaussian_rho
-
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "gaussian_convergence.py"
 
 
@@ -15,6 +13,6 @@ def test_gaussian_convergence_reports_truncation_leakage(capsys):
     assert script.main(["--cutoffs", "20,30"]) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
     assert [int(r[0]) for r in rows] == [20, 30]
-    for n, leak, *_ in rows:
-        raw_trace = _gaussian_rho(GaussianSpec(truncation=int(n)), (0.0, 0.0))[1]
-        assert float(leak) == pytest.approx(abs(1.0 - raw_trace), rel=1e-2)
+    for n, leak, err, tol, *_ in rows:
+        assert float(leak) == pytest.approx(0.5 ** (int(n) + 1), rel=1e-2)  # t_N at sigma2 = hbar = 1
+        assert float(err) <= float(tol)
