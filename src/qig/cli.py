@@ -35,7 +35,6 @@ from .harness import (
 )
 from .reverse import (
     ORACLE_GAP_TOL,
-    global_commutation_check,
     global_reverse_estimate,
     local_reverse_estimate,
     min_trace_oracle,
@@ -127,30 +126,31 @@ def _cmd_reverse(args):
         "gap": rep.gap,
         "rho_residual": rep.rho_residual,
         "tangent_residual": rep.tangent_residual,
-        "tolerances": {"residual_cap": reverse.RESIDUAL_CAP, "equality": 1e-9},
+        "tolerances": {"residual_cap": reverse.RESIDUAL_CAP},
     }
     return args.family, spec, results, True
 
 
 def _cmd_global(args):
     spec, points = _load_family(args, grid=True)
-    norm = global_commutation_check(points)
-    results = {"commutator_norm": norm,
-               "tolerances": {"commutation": reverse.COMMUTATION_TOL, "input_fisher": 1e-7}}
-    print(f"max RLD commutator norm over the grid: {_fmt(norm)}")
     try:
         gre = global_reverse_estimate(points, 0, seed=args.seed)
+        norm = gre.commutator_norm
     except NotReverseEstimableError as exc:
-        print(f"family is NOT globally reverse-estimable ({exc})")
-        results["estimable"] = False
+        gre, norm = None, exc.commutator_norm
+    print(f"max RLD commutator norm over the grid: {_fmt(norm)}")
+    results = {"commutator_norm": norm, "tolerances": {"commutation": reverse.COMMUTATION_TOL},
+               "estimable": gre is not None}
+    if gre is None:
+        print("family is NOT globally reverse-estimable")
         return args.family, spec, results, True
-    results["estimable"] = True
+    ens = gre.ensemble
     results["distributions"] = io.encode_matrix(gre.distributions)
-    results["w0"] = io.encode_matrix(gre.w0.w)
+    results["w0"] = io.encode_matrix(ens.states.T * np.sqrt(ens.weights))  # columns sqrt(p_x) |phi_x>
     rows = []
     for pt in points:
         jin = restricted_input_fisher(gre, pt, points).scalar
-        jr = rld_fisher(pt).scalar
+        jr = rld_fisher(pt).scalar  # the estimate has checked the RLDs' existence
         rows.append({"theta": float(pt.theta[0]), "input_fisher": jin, "rld_fisher": jr})
         print(f"  theta {_fmt(pt.theta[0]):>10s}: input Fisher {_fmt(jin)}  J^R {_fmt(jr)}")
     results["per_point"] = rows

@@ -108,6 +108,8 @@ def build_family(spec: dict):
 
     if "derivative" in spec and kind != "bloch_rotation":  # every other kind would ignore it
         raise SpecFileError(f"{kind} spec: field 'derivative' applies only to kind 'bloch_rotation'")
+    if "theta" in spec and kind == "fixed_basis":  # the grid would ignore it
+        raise SpecFileError(f"{kind} spec: field 'theta' does not apply; the grid's points are its 'theta_grid'")
     deriv = field("derivative", default={"mode": "analytic"})
     if not isinstance(deriv, dict):
         raise SpecFileError(f"{kind} spec: field 'derivative' must be an object")

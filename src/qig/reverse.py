@@ -22,9 +22,9 @@ from .errors import (
     NotReverseEstimableError,
     RankDeficiencyError,
 )
-from .fisher import QFisherMatrix, rld, rld_fisher
-from .linalg import RANK_TOL, frob, herm, spabs
-from .states import AmplitudeMatrix, FamilyPoint
+from .fisher import ClassicalFamilyPoint, QFisherMatrix, classical_fisher, rld, rld_fisher
+from .linalg import RANK_TOL, frob, frob_each, herm, spabs
+from .states import FamilyPoint
 
 
 def __getattr__(name):
@@ -85,10 +85,9 @@ def local_reverse_estimate(point: FamilyPoint) -> LocalReverseEstimate:
 
 
 def input_fisher(lre: LocalReverseEstimate) -> QFisherMatrix:
-    """Classical Fisher matrix of the simulating input family at theta0."""
+    """Classical Fisher matrix of the simulating input family at theta0, whose d_i p(x) = lambda_{i,x} p(x)."""
     p = lre.ensemble.weights
-    j = (lre.scores * p[..., None, :]) @ lre.scores.swapaxes(-1, -2)
-    return QFisherMatrix(lre.m, j, np.zeros_like(j), "classical")
+    return classical_fisher(ClassicalFamilyPoint(lre.theta0, p, lre.scores * p[..., None, :]))
 
 
 # validate_reverse_estimate refuses a candidate whose state or tangent residual exceeds RESIDUAL_CAP.
@@ -122,19 +121,22 @@ def random_valid_lre(point: FamilyPoint, seed=0) -> LocalReverseEstimate:
     """Randomized valid (generally suboptimal) local reverse estimate.
 
     Draws a random co-isometry V (d x d'' with VV^dag = I, d'' = d^2 + 3), takes
-    ensemble columns rho^(1/2) v_x, and solves the linear system
-    sum_x lambda_x v_x v_x^dag = A for real scores, adding a random
-    null-space component to move inside the constraint manifold.
+    ensemble columns U Lam^(1/2) v_x (rho = U Lam U^dag), and solves the linear
+    system sum_x lambda_x v_x v_x^dag = A = Lam^(-1/2) U^dag drho U Lam^(-1/2) for
+    real scores, adding a random null-space component to move inside the constraint manifold.
     """
     if point.m != 1:
         raise ValueError("randomized LRE generator covers 1-dim families")
+    if not point.rho.is_full_rank():
+        raise RankDeficiencyError("local reverse estimation requires a full-rank state")
     rng = as_rng(seed)
     d = point.dim
     n = d * d + 3
     g = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
     q, _ = np.linalg.qr(g)  # n x d, orthonormal columns
     v = q.conj().T  # d x n co-isometry
-    a = point.rho.whiten(point.tangents[0])
+    w, u = point.rho.eig
+    a = herm(point.tangents_eig[0] / np.sqrt(w[:, None] * w))
     # real linear system: sum_x lam_x Re/Im (v_x v_x^dag) = Re/Im A
     outer = np.einsum("ix,jx->xij", v, v.conj())  # n of (d x d)
     design = np.concatenate(
@@ -150,7 +152,7 @@ def random_valid_lre(point: FamilyPoint, seed=0) -> LocalReverseEstimate:
     if res > 1e-8 * max(1.0, frob(a)):
         # fall back to the exact min-norm solution
         lam = lam0
-    return LocalReverseEstimate(Ensemble.from_columns(point.rho.func(np.sqrt) @ v), lam[None, :], point.theta)
+    return LocalReverseEstimate(Ensemble.from_columns(u @ (np.sqrt(w)[:, None] * v)), lam[None, :], point.theta)
 
 
 # --- global reverse estimation ----------------------------------------------
@@ -159,35 +161,38 @@ def random_valid_lre(point: FamilyPoint, seed=0) -> LocalReverseEstimate:
 COMMUTATION_TOL = 1e-8
 
 
-def _grid_rlds(points: list[FamilyPoint]) -> list[np.ndarray]:
-    """RLDs of every tangent at every grid point; the states must be full rank."""
+def _grid_commutation(points: list[FamilyPoint]) -> tuple[float, float]:
+    """(max ||[L_a, L_b]||_F, max ||L_a||_F) over the grid's RLDs: one rld() per full-rank point, marked checked."""
     ls = []
     for pt in points:
         if not pt.rho.is_full_rank():
             raise RankDeficiencyError("global reverse estimation requires full-rank states")
-        ls.extend(rld(pt.rho, x) for x in pt.tangents)
-    return ls
-
-
-def _max_commutator(ls: list[np.ndarray]) -> float:
-    return max((frob(a @ b - b @ a) for i, a in enumerate(ls) for b in ls[i:]), default=0.0)
+        ls.extend(rld(pt.rho, pt.tangents))
+        pt.rld_checked = True
+    norm = max((frob(a @ b - b @ a) for i, a in enumerate(ls) for b in ls[i:]), default=0.0)
+    return norm, max(map(frob, ls), default=0.0)
 
 
 def global_commutation_check(points: list[FamilyPoint]) -> float:
     """Max Frobenius norm of [L^R_{theta,i}, L^R_{theta',j}] over the grid."""
-    return _max_commutator(_grid_rlds(points))
+    return _grid_commutation(points)[0]
+
+
+def _whiten(w: np.ndarray, u: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Lam^(-1/2) U^dag X U Lam^(-1/2) in the eigenbasis of a full-rank rho = U diag(w) U^dag; X may be a stack."""
+    return (u.conj().T @ x @ u) / np.sqrt(w[:, None] * w)
 
 
 @dataclass(eq=False)
 class GlobalReverseEstimate:
-    """Shared ensemble (columns of W0) plus one distribution per grid point."""
+    """Shared ensemble plus one distribution per grid point, and W, the joint eigenbasis of the whitened states."""
 
-    w0: AmplitudeMatrix
+    ensemble: Ensemble
+    basis: np.ndarray = field(repr=False)
     theta_grid: np.ndarray
     distributions: np.ndarray  # shape (n_points, d)
     base_index: int
-    basis: np.ndarray = field(repr=False, default=None)  # simultaneous eigenbasis U
-    base_weights: np.ndarray = field(repr=False, default=None)  # ||rho0^(1/2) u_x||^2
+    commutator_norm: float  # max RLD commutator norm over the grid, as global_commutation_check
 
 
 def global_reverse_estimate(
@@ -195,64 +200,47 @@ def global_reverse_estimate(
 ) -> GlobalReverseEstimate:
     """Exact simulation of a commuting family from a single shared ensemble.
 
-    M_theta = rho0^(-1/2) rho_theta rho0^(-1/2) are simultaneously
-    diagonalized (via a seeded random linear combination, retrying on a
-    fresh seed up to 5 times); refuses if the commutation criterion
-    fails.
+    The whitened states M_theta = Lam^(-1/2) U^dag rho_theta U Lam^(-1/2), rho0 = U Lam U^dag,
+    are diagonalized together by the eigenbasis W of a seeded random combination (up to 5
+    fresh seeds).  The shared states are the normalized columns of U Lam^(1/2) W, and
+    p_theta = diag(W^dag M_theta W) times their weights.  Refuses a grid that fails the
+    commutation criterion, the diagonalization or the reconstruction of a state.
     """
-    ls = _grid_rlds(points)
-    norm = _max_commutator(ls)
-    if norm > COMMUTATION_TOL * max(1.0, max((frob(l) for l in ls), default=0.0) ** 2):
+    norm, scale = _grid_commutation(points)
+    if norm > COMMUTATION_TOL * max(1.0, scale) ** 2:
         raise NotReverseEstimableError(norm)
-    rho0 = points[base_index].rho
-    ms = rho0.whiten(np.array([pt.rho.mat for pt in points]))
-    u = None
+    w, u = points[base_index].rho.eig
+    rhos = np.array([pt.rho.mat for pt in points])
+    ms = _whiten(w, u, rhos)
     for attempt in range(5):
-        rng = child_rng(seed, attempt)
-        c = rng.normal(size=len(ms))
-        _, cand = np.linalg.eigh(herm(sum(ck * mk for ck, mk in zip(c, ms))))
-        off = 0.0
-        for mk in ms:
-            mt = cand.conj().T @ mk @ cand
-            off = max(off, frob(mt - np.diag(np.diag(mt))) / max(1.0, frob(mk)))
-        if off <= 1e-8:
-            u = cand
+        c = child_rng(seed, attempt).normal(size=len(ms))
+        _, wv = np.linalg.eigh(herm(np.tensordot(c, ms, 1)))
+        mt = wv.conj().T @ ms @ wv
+        off = frob_each(mt * (1.0 - np.eye(len(w)))) / np.maximum(1.0, frob_each(ms))
+        if off.max() <= 1e-8:
             break
-    if u is None:
+    else:
         raise NotReverseEstimableError(norm)
-    cols = rho0.func(np.sqrt) @ u
-    cw = np.sum(np.abs(cols) ** 2, axis=0)  # ||rho0^(1/2) u_x||^2
-    dists = np.array(
-        [np.clip(np.real(np.einsum("xi,ij,jx->x", u.conj().T, mk, u)) * cw, 0.0, None) for mk in ms]
-    )
+    ens = Ensemble.from_columns(u @ (np.sqrt(w)[:, None] * wv))
+    dists = np.clip(np.diagonal(mt, axis1=-2, axis2=-1).real * ens.weights, 0.0, None)
     dists /= dists.sum(axis=1, keepdims=True)
-    w0 = AmplitudeMatrix(cols / np.sqrt(np.sum(cw)))
-    # reconstruction check at every grid point
-    ens = Ensemble.from_columns(cols)
-    for k, pt in enumerate(points):
-        if frob(ens.mix(dists[k]) - pt.rho.mat) > 1e-8:
-            raise NotReverseEstimableError(norm)
-    thetas = np.array([pt.theta for pt in points])
-    return GlobalReverseEstimate(w0, thetas, dists, base_index, basis=u, base_weights=cw)
+    if frob_each(ens.mix(dists) - rhos).max() > 1e-8:  # reconstruction check at every grid point
+        raise NotReverseEstimableError(norm)
+    return GlobalReverseEstimate(ens, wv, np.array([pt.theta for pt in points]), dists, base_index, norm)
 
 
 def restricted_input_fisher(gre: GlobalReverseEstimate, point: FamilyPoint, points: list[FamilyPoint]) -> QFisherMatrix:
     """Classical Fisher of the simulating input family at one grid point.
 
-    Scores follow from linearity: d_i p(x) = c_x u_x^dag rho0^(-1/2)
-    X_i rho0^(-1/2) u_x.
+    Scores follow from linearity: d_i p(x) = p0(x) (W^dag B_i W)_xx, with
+    p0 the ensemble weights and B_i the tangent X_i whitened as M_theta.
     """
-    rho0 = points[gre.base_index].rho
-    u = gre.basis
-    cw = gre.base_weights
     k = next((i for i, pt in enumerate(points) if np.array_equal(pt.theta, point.theta)), None)
     if k is None:
         raise DimensionMismatchError(f"theta = {point.theta.tolist()} is not a point of the grid")
-    p = gre.distributions[k]
-    scores = np.einsum("xi,kij,jx->kx", u.conj().T, rho0.whiten(np.array(point.tangents)), u).real * cw
-    live = p > 1e-15
-    j = (scores[:, live] / p[live]) @ scores[:, live].T
-    return QFisherMatrix(point.m, j, np.zeros_like(j), "classical")
+    bt = gre.basis.conj().T @ _whiten(*points[gre.base_index].rho.eig, point.tangents) @ gre.basis
+    scores = np.diagonal(bt, axis1=-2, axis2=-1).real * gre.ensemble.weights
+    return classical_fisher(ClassicalFamilyPoint(point.theta, gre.distributions[k], scores))
 
 
 # --- multiparameter bounds ---------------------------------------------------

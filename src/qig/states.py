@@ -66,11 +66,6 @@ class DensityMatrix:
         """Support-restricted matrix function of the state (see linalg.spectral_function)."""
         return linalg.spectral_function(*self.eig, fn)
 
-    def whiten(self, x) -> np.ndarray:
-        """Canonical whitening rho^(-1/2) X rho^(-1/2), on the support of rho; X may be a stack."""
-        rm = self.func(lambda v: v ** -0.5)
-        return herm(rm @ x @ rm)
-
 
 TANGENT_TRACE_TOL = 1e-10
 

@@ -189,9 +189,8 @@ def test_criterion_07_global_reverse_estimation():
     points = fixed_basis_family(v, prob_table, grid, np.tile(direction, (5, 1)))
     assert global_commutation_check(points) <= 1e-8
     gre = global_reverse_estimate(points, 0, seed=0)
-    phis = [gre.w0.w[:, x] / np.linalg.norm(gre.w0.w[:, x]) for x in range(3)]
     for k, pt in enumerate(points):
-        recon = sum(p * np.outer(u, u.conj()) for p, u in zip(gre.distributions[k], phis))
+        recon = sum(p * np.outer(u, u.conj()) for p, u in zip(gre.distributions[k], gre.ensemble.states))
         assert frob(recon - pt.rho.mat) <= 1e-8
         jin = restricted_input_fisher(gre, pt, points).scalar
         jr = rld_fisher(pt).scalar

@@ -48,6 +48,17 @@ def complex16_spec(tmp_path):
 
 
 @pytest.fixture
+def grid_spec(tmp_path):
+    """Three-point commuting qubit grid, kind fixed_basis."""
+    grid = np.linspace(0.2, 0.8, 3)
+    return write_json(tmp_path / "grid.json", {
+        "kind": "fixed_basis",
+        "prob_table": np.stack([grid, 1 - grid], axis=1).tolist(),
+        "theta_grid": grid.tolist(),
+    })
+
+
+@pytest.fixture
 def qubit_pair(tmp_path):
     rho = write_json(tmp_path / "rho.json", {"rho": [[0.7, 0.1], [0.1, 0.3]]})
     sigma = write_json(tmp_path / "sigma.json", {"rho": [[0.5, 0.0], [0.0, 0.5]]})
@@ -119,6 +130,19 @@ class TestReverseAndGlobal:
         assert doc["results"]["estimable"]
         for row in doc["results"]["per_point"]:
             assert row["input_fisher"] == pytest.approx(row["rld_fisher"], rel=1e-7)
+
+    def test_global_computes_each_rld_once(self, grid_spec, tmp_path, monkeypatch):
+        calls = []
+        real = fisher.rld
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fisher, "rld", counted)
+        monkeypatch.setattr(reverse, "rld", counted)
+        assert cli.main(["global", "--family", grid_spec, "--out", str(tmp_path / "g.json")]) == 0
+        assert len(calls) == 3
 
 
 class TestDivergenceCommand:
@@ -424,6 +448,13 @@ class TestExitCodesAndSeeds:
         assert cli.main(argv) == 0
         assert json.loads(out.read_text())["results"]["estimable"] is False
 
+    def test_reverse_and_global_report_only_enforced_tolerances(self, bloch_spec, grid_spec, tmp_path):
+        out = tmp_path / "r.json"
+        for argv, want in ((["reverse", "--family", bloch_spec], {"residual_cap": reverse.RESIDUAL_CAP}),
+                           (["global", "--family", grid_spec], {"commutation": reverse.COMMUTATION_TOL})):
+            assert cli.main(argv + ["--out", str(out)]) == 0
+            assert json.loads(out.read_text())["results"]["tolerances"] == want
+
     def test_monotone_slack_reads_enforced_constant(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         out = tmp_path / "r.json"
@@ -475,15 +506,6 @@ class TestExitCodesAndSeeds:
 class TestSpecErrors:
     """Spec files the builders cannot honour exit 1 with a message naming the field or kind."""
 
-    @pytest.fixture
-    def grid_spec(self, tmp_path):
-        grid = np.linspace(0.2, 0.8, 3)
-        return write_json(tmp_path / "grid.json", {
-            "kind": "fixed_basis",
-            "prob_table": np.stack([grid, 1 - grid], axis=1).tolist(),
-            "theta_grid": grid.tolist(),
-        })
-
     def _fails(self, argv, capsys, *words):
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
@@ -500,6 +522,12 @@ class TestSpecErrors:
 
     def test_global_on_point(self, bloch_spec, capsys):
         self._fails(["global", "--family", bloch_spec], capsys, "bloch_rotation")
+
+    def test_theta_refused_on_grid(self, grid_spec, tmp_path, capsys):
+        # the grid gives every point's theta, so a theta from --theta or the spec would be echoed but never used
+        self._fails(["global", "--family", grid_spec, "--theta", "3"], capsys, "fixed_basis", "'theta'", "'theta_grid'")
+        spec = write_json(tmp_path / "t.json", {**json.loads((tmp_path / "grid.json").read_text()), "theta": [3.0]})
+        self._fails(["global", "--family", spec], capsys, "fixed_basis", "'theta'", "'theta_grid'")
 
     def test_missing_required_field(self, tmp_path, capsys):
         spec = write_json(tmp_path / "b.json", {"kind": "bloch_rotation", "theta": [0.0]})

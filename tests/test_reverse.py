@@ -14,6 +14,7 @@ from qig.errors import (
 from qig.families import PAULI_Z, bloch_rotation_point, fixed_basis_family
 from qig.fisher import QFisherMatrix, rld_fisher
 from qig.harness import gaussian_closed_form, GaussianSpec
+from qig import reverse
 from qig.linalg import frob
 from qig.reverse import (
     ORACLE_GAP_TOL,
@@ -176,10 +177,7 @@ class TestGlobalReverseEstimation:
                     gre.distributions[
                         next(i for i, q in enumerate(points) if q.theta[0] == pt.theta[0])
                     ],
-                    [
-                        gre.w0.w[:, x] / np.linalg.norm(gre.w0.w[:, x])
-                        for x in range(gre.w0.w.shape[1])
-                    ],
+                    gre.ensemble.states,
                 )
             )
             assert frob(recon - pt.rho.mat) <= 1e-8
@@ -196,17 +194,35 @@ class TestGlobalReverseEstimation:
         with pytest.raises(DimensionMismatchError, match=r"theta = \[-0\.45\]"):
             restricted_input_fisher(gre, off, points)
 
+    def test_estimate_carries_commutator_norm(self):
+        from qig.channels import random_unitary
+
+        base = classical_grid(dim=3, seed=4)
+        points = fixed_basis_family(
+            random_unitary(3, np.random.default_rng(3)),
+            [np.diag(pt.rho.mat).real for pt in base], [pt.theta[0] for pt in base],
+            [np.diag(pt.tangents[0]).real for pt in base],
+        )
+        norm = global_commutation_check(points)
+        assert norm > 0.0  # rounding only: the bit-for-bit comparison below is not 0 == 0
+        assert global_reverse_estimate(points, 0, seed=0).commutator_norm == norm
+
     def test_single_point_trivially_commutes(self):
         points = [bloch_rotation_point(0.8, 0.0)]
         assert global_commutation_check(points) <= 1e-12
 
-    def test_bloch_grid_rejected(self):
+    def test_bloch_grid_rejected(self, monkeypatch):
         points = bloch_grid(0.8, [0.0, 0.3, 0.6])
         norm = global_commutation_check(points)
         assert norm > 1e-3
         with pytest.raises(NotReverseEstimableError) as exc:
             global_reverse_estimate(points, 0, seed=0)
         assert exc.value.commutator_norm == pytest.approx(norm)
+        # past the commutation gate, the diagonalization and reconstruction checks refuse it (either alone would)
+        monkeypatch.setattr(reverse, "COMMUTATION_TOL", np.inf)
+        with pytest.raises(NotReverseEstimableError) as exc:
+            global_reverse_estimate(points, 0, seed=0)
+        assert exc.value.commutator_norm == norm
 
 
 class TestMultiparamBounds:
