@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, io
 from .divergence import rld_divergence, rld_divergence_integral, two_point_reverse_estimate, umegaki
-from .errors import ConvergenceError, NotReverseEstimableError, QigError, SpecFileError
+from .errors import NotReverseEstimableError, QigError, SpecFileError
 from .families import build_family
 from .fisher import km_fisher, rld_fisher, sld_fisher
 from .harness import (
@@ -39,6 +39,7 @@ from .reverse import (
     local_reverse_estimate,
     min_trace_oracle,
     multiparam_bounds,
+    oracle_attained,
     restricted_input_fisher,
     validate_reverse_estimate,
 )
@@ -230,32 +231,27 @@ def _cmd_bound(args):
         raise SpecFileError(f"{args.weight}: field 'weight' has a nonzero imaginary part; the weight must be real")
     g = g.real
     mb = multiparam_bounds(jr, g)
+    res = min_trace_oracle(jr, g)
+    attained = oracle_attained(jr, g)
+    rel = abs(res.value - mb.reverse) / max(1e-15, abs(mb.reverse))
     print(f"reverse-estimation bound : {_fmt(mb.reverse)}")
     print(f"estimation bound         : {_fmt(mb.estimation)}")
+    print(f"min-trace oracle         : [{_fmt(res.dual)}, {_fmt(res.value)}]  "
+          f"(gap {_fmt(res.gap)}, rel. diff {_fmt(rel)}, {'attained' if attained else 'not attained'})")
+    checks = [_check("oracle_vs_closed", rel, reverse.ORACLE_REL_TOL)]
     results = {
         "rld_fisher": io.qfisher_to_json(jr),
         "weight": io.encode_matrix(g),
         "reverse_bound": mb.reverse,
         "estimation_bound": mb.estimation,
+        "oracle_value": res.value,
+        "oracle_dual": res.dual,
+        "oracle_gap": res.gap,
+        "oracle_relative_difference": rel,
+        "oracle_attained": attained,
+        "checks": checks,
         "tolerances": {"oracle_relative": reverse.ORACLE_REL_TOL, "oracle_gap": ORACLE_GAP_TOL},
     }
-    try:
-        res = min_trace_oracle(jr, g)
-    except ConvergenceError as exc:
-        # a singular weight may leave the minimum unattained; the bounds stand
-        print(f"min-trace oracle         : not certified ({exc})")
-        results["oracle_error"] = str(exc)
-        checks = [_skipped("oracle_vs_closed", reverse.ORACLE_REL_TOL, "oracle not certified")]
-    else:
-        rel = abs(res.value - mb.reverse) / max(1e-15, abs(mb.reverse))
-        print(f"min-trace oracle         : [{_fmt(res.dual)}, {_fmt(res.value)}]  "
-              f"(gap {_fmt(res.gap)}, rel. diff {_fmt(rel)})")
-        results["oracle_value"] = res.value
-        results["oracle_dual"] = res.dual
-        results["oracle_gap"] = res.gap
-        results["oracle_relative_difference"] = rel
-        checks = [_check("oracle_vs_closed", rel, reverse.ORACLE_REL_TOL)]
-    results["checks"] = checks
     return args.family, spec, results, _print_checks(checks)
 
 

@@ -10,7 +10,7 @@ class DimensionMismatchError(QigError):
 
 
 class ConvergenceError(QigError):
-    """Eigensolver or optimizer failed to reach its tolerance."""
+    """An eigensolver missed its residual tolerance, or the min-trace certificate failed a check."""
 
 
 class RankDeficiencyError(QigError):

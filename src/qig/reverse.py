@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Ensemble, as_rng, child_rng
+from .channels import Ensemble, child_rng
 from .errors import (
     ConvergenceError,
     DimensionMismatchError,
@@ -23,7 +23,7 @@ from .errors import (
     RankDeficiencyError,
 )
 from .fisher import ClassicalFamilyPoint, QFisherMatrix, classical_fisher, rld, rld_fisher
-from .linalg import RANK_TOL, frob, frob_each, herm, spabs
+from .linalg import RANK_TOL, frob, frob_each, herm, spabs, support_mask
 from .states import FamilyPoint
 
 
@@ -64,7 +64,7 @@ class LocalReverseEstimate:
 
     def tangent(self, i: int = 0) -> np.ndarray:
         """sum_x lambda_{i,x} p(x) |phi_x><phi_x|."""
-        return self.ensemble.mix(self.scores[i] * self.ensemble.weights)
+        return self.ensemble.mix(self.scores[..., i, :] * self.ensemble.weights)
 
 
 def local_reverse_estimate(point: FamilyPoint) -> LocalReverseEstimate:
@@ -103,56 +103,16 @@ class ReverseEstimateReport:
 
 
 def validate_reverse_estimate(candidate: LocalReverseEstimate, point: FamilyPoint) -> ReverseEstimateReport:
-    """Check the simulation constraints and the Fisher gap J - J^R >= 0."""
+    """Check the simulation constraints and the Fisher gap J - J^R >= 0, at the worst member of a stack."""
     ens = candidate.ensemble
-    rho_res = frob(ens.mix(ens.weights) - point.rho.mat)
-    tan_res = max(
-        frob(candidate.tangent(i) - point.tangents[i]) for i in range(candidate.m)
-    )
+    rho_res = float(frob_each(ens.mix(ens.weights) - point.rho.mat).max())
+    tan_res = max(float(frob_each(candidate.tangent(i) - point.tangents[i]).max()) for i in range(candidate.m))
     if rho_res > RESIDUAL_CAP or tan_res > RESIDUAL_CAP:
         raise InvalidCandidateError(rho_res, tan_res)
     j = input_fisher(candidate)
     jr = rld_fisher(point)
     gap = float(np.min(np.linalg.eigvalsh(j.as_complex() - jr.as_complex())))
     return ReverseEstimateReport(rho_res, tan_res, j, gap)
-
-
-def random_valid_lre(point: FamilyPoint, seed=0) -> LocalReverseEstimate:
-    """Randomized valid (generally suboptimal) local reverse estimate.
-
-    Draws a random co-isometry V (d x d'' with VV^dag = I, d'' = d^2 + 3), takes
-    ensemble columns U Lam^(1/2) v_x (rho = U Lam U^dag), and solves the linear
-    system sum_x lambda_x v_x v_x^dag = A = Lam^(-1/2) U^dag drho U Lam^(-1/2) for
-    real scores, adding a random null-space component to move inside the constraint manifold.
-    """
-    if point.m != 1:
-        raise ValueError("randomized LRE generator covers 1-dim families")
-    if not point.rho.is_full_rank():
-        raise RankDeficiencyError("local reverse estimation requires a full-rank state")
-    rng = as_rng(seed)
-    d = point.dim
-    n = d * d + 3
-    g = rng.normal(size=(n, d)) + 1j * rng.normal(size=(n, d))
-    q, _ = np.linalg.qr(g)  # n x d, orthonormal columns
-    v = q.conj().T  # d x n co-isometry
-    w, u = point.rho.eig
-    a = herm(point.tangents_eig[0] / np.sqrt(w[:, None] * w))
-    # real linear system: sum_x lam_x Re/Im (v_x v_x^dag) = Re/Im A
-    outer = np.einsum("ix,jx->xij", v, v.conj())  # n of (d x d)
-    design = np.concatenate(
-        [outer.real.reshape(n, -1).T, outer.imag.reshape(n, -1).T], axis=0
-    )
-    target = np.concatenate([a.real.ravel(), a.imag.ravel()])
-    lam0, *_ = np.linalg.lstsq(design, target, rcond=None)
-    _, sv, vt = np.linalg.svd(design, full_matrices=True)
-    rank = int(np.sum(sv > sv[0] * 1e-12))
-    null = vt[rank:].T  # n x nullity
-    lam = lam0 + null @ rng.normal(scale=1.0, size=null.shape[1]) if null.shape[1] else lam0
-    res = frob(np.einsum("x,xij->ij", lam, outer) - a)
-    if res > 1e-8 * max(1.0, frob(a)):
-        # fall back to the exact min-norm solution
-        lam = lam0
-    return LocalReverseEstimate(Ensemble.from_columns(u @ (np.sqrt(w)[:, None] * v)), lam[None, :], point.theta)
 
 
 # --- global reverse estimation ----------------------------------------------
@@ -260,8 +220,9 @@ def _checked_weight(g, m: int) -> np.ndarray:
     if g.shape != (m, m):
         raise DimensionMismatchError(f"weight shape {g.shape} vs m = {m}")
     g = 0.5 * (g + g.T)
-    if np.min(np.linalg.eigvalsh(g)) < -1e-10:
-        raise ValueError("weight matrix must be PSD")
+    lam = np.linalg.eigvalsh(g)
+    if lam[0] < -RANK_TOL * lam[-1]:  # the cut below which min_trace_oracle counts an eigenvalue of G as 0
+        raise ValueError(f"weight matrix must be PSD: min eigenvalue {lam[0]:.3e}, max {lam[-1]:.3e}")
     return g
 
 
@@ -277,102 +238,79 @@ def multiparam_bounds(jr: QFisherMatrix, g: np.ndarray) -> MultiparamBounds:
     return MultiparamBounds(base + skew, base - skew)
 
 
-# min_trace_oracle stops once value - dual <= ORACLE_GAP_TOL * max(1, |value|).
+# min_trace_oracle certifies value - dual <= ORACLE_GAP_TOL * max(1, |value|).
 ORACLE_GAP_TOL = 1e-10
-# qig bound requires |oracle value - reverse bound| <= ORACLE_REL_TOL * |reverse bound|.
-ORACLE_REL_TOL = 1e-3
-_PATH_STEP = 20.0  # growth of the barrier weight t between centerings
-_PATH_CAP = 20  # centerings before ConvergenceError
-_CENTER_CAP = 50  # Newton steps per centering
-_CENTER_TOL = 1e-4  # squared Newton decrement of a centered point
+# qig bound requires |oracle value - reverse bound| <= ORACLE_REL_TOL * |reverse bound|: ten times
+# ORACLE_GAP_TOL, since the certified bracket holds the closed form and is at most that wide.
+ORACLE_REL_TOL = 1e-9
 
 
 @dataclass(eq=False)
 class OracleResult:
-    value: float  # Tr G S at a strictly feasible S: an upper bound
-    dual: float  # dual objective at a feasible Z: a lower bound
+    value: float  # Tr G S at a feasible S: an upper bound
+    dual: float  # Tr Z J^R at a feasible Z, less the primal's margin: a lower bound
     gap: float  # value - dual
     minimizer: np.ndarray  # the real symmetric S
 
 
-def _center(x, t, cost, m0, basis):
-    """Damped Newton steps for min t Re Tr(C M) - log det M, M = m0 + sum_p x_p E_p.
+def _frame(jr: QFisherMatrix, g):
+    """(w, Q, r, Q^T J^R Q): G = Q diag(w) Q^T with range(G) first, r = rank G under the RANK_TOL cut."""
+    w, q = np.linalg.eigh(_checked_weight(g, jr.m))
+    w, q = w[::-1], q[:, ::-1]
+    return w, q, int(support_mask(w).sum()), q.T @ jr.as_complex() @ q
 
-    With M = L L^dag, each Newton system is solved as least squares in
-    the scaled space M -> L^-1 M L^-dag, whose conditioning is cond(M)
-    rather than its square.  The damped step 1/(1 + decrement) keeps M
-    positive definite (self-concordance).  Stops when centered, or when
-    the decrement no longer falls because rounding dominates it.
+
+def oracle_attained(jr: QFisherMatrix, g) -> bool:
+    """False when ImJ^R couples range(G) to ker G: min_trace_oracle's S_kk then grows like 1/delta."""
+    _, _, r, jf = _frame(jr, g)
+    return frob(jf.imag[:r, r:]) <= RANK_TOL * frob(jf)
+
+
+def _certificate(d: np.ndarray, jf: np.ndarray):
+    """(S, Z, delta) in G's frame, J^R = ReJ + iK there, D = diag(d) = sqrt(G) on range(G).
+
+    H = D iK_rr D.  Dual Z = D (I + sgn H) D on range(G).  Primal S_rr = ReJ_rr +
+    D^-1 (|H| + delta I) D^-1, S_rk = ReJ_rk and S_kk = ReJ_kk + c I, delta a margin over rounding.
     """
-    if not len(basis):
-        return x
-    eye = np.eye(len(m0))
-    l, prev = np.linalg.cholesky(m0 + np.tensordot(x, basis, 1)), np.inf
-    for _ in range(_CENTER_CAP):
-        li = np.linalg.inv(l)
-        a = li @ basis @ li.conj().T
-        a = np.concatenate([a.real, a.imag], axis=1).reshape(len(a), -1).T
-        b = eye - t * (l.conj().T @ cost @ l)
-        step = np.linalg.lstsq(a, np.concatenate([b.real, b.imag]).ravel(), rcond=None)[0]
-        dec = float(np.sum((a @ step) ** 2))
-        if dec <= _CENTER_TOL or (prev < 1e-3 and dec > 0.25 * prev):
-            break
-        prev, x_new = dec, x + step / (1.0 + np.sqrt(dec))
-        try:
-            l = np.linalg.cholesky(m0 + np.tensordot(x_new, basis, 1))
-        except np.linalg.LinAlgError:
-            break
-        x = x_new
-    return x
+    r, dd = len(d), d[:, None] * d
+    lam, v = np.linalg.eigh(1j * dd * jf.imag[:r, :r])
+    delta = 2.0**10 * float(np.finfo(float).eps) * max(frob(dd * jf[:r, :r]), np.finfo(float).tiny)
+    # H's rounding-level eigenvalues (one for odd r, K being antisymmetric) get sgn 0, or Re Z misses G
+    sgn = np.sign(lam) * (np.abs(lam) > RANK_TOL * np.abs(lam).max(initial=0.0))
+    z = np.zeros_like(jf)
+    z[:r, :r] = dd * (np.eye(r) + (v * sgn) @ v.conj().T)
+    s = jf.real.copy()
+    s[:r, :r] += (((v * np.abs(lam)) @ v.conj().T).real + delta * np.eye(r)) / dd
+    # c - ||K_kk|| >= 2 ||D K_rk||^2 / delta: the Schur complement of S - J^R on range(G) keeps delta / 2
+    c = 2.0 * frob(d[:, None] * jf.imag[:r, r:]) ** 2 / delta + 2.0 * frob(jf[r:, r:]) + delta
+    s[r:, r:] += c * np.eye(len(jf) - r)
+    return s, z, delta
 
 
 def min_trace_oracle(jr: QFisherMatrix, g: np.ndarray, seed: int = 0, restarts: int = 1) -> OracleResult:
-    """Certified value of min{Tr G S : S real symmetric, S - J^R >= 0}.
+    """Certified value of min{Tr G S : S real symmetric, S - J^R >= 0}; `seed` and `restarts` are unused.
 
-    Log-barrier path following (Boyd & Vandenberghe, Convex Optimization,
-    ch. 11) on this problem and on its dual
-    max{Tr G ReJ^R - Tr(B ImJ^R) : G + iB >= 0, B real antisymmetric},
-    the weight t of both barriers growing by _PATH_STEP per centering.
-    Both iterates stay strictly feasible, so `value` bounds the minimum
-    from above and `dual` from below.  Returns once 0 <= gap <= tol =
-    ORACLE_GAP_TOL * max(1, |value|) and the rounding bound of `value`
-    is below tol too; raises ConvergenceError after _PATH_CAP centerings.
-    A singular G (lambda_min <= RANK_TOL lambda_max) leaves the dual no
-    interior point, so Z = G (dual Tr G ReJ^R) is kept; the primal path
-    then runs off along ker G, and unless ker G is spanned by coordinate
-    axes its rounding usually ends in ConvergenceError.  The method is
-    deterministic: `seed` and `restarts` are accepted and unused.
+    Returns _certificate's pair only after three checks in G's frame: S - J^R >= 0 (for a singular
+    G, S_kk - J_kk > 0 and the Schur complement on range(G)); Z >= 0 and Re Z = G; and
+    0 <= value - dual <= ORACLE_GAP_TOL max(1, |value|), else raises ConvergenceError.  Weak
+    duality, Tr G S = Tr Z S >= Tr Z J^R, then brackets the minimum: Holevo's RLD bound
+    (multiparam_bounds; Boyd & Vandenberghe, Convex Optimization, 5.2 and A.5.5).  Eigenvalues
+    of G below the RANK_TOL cut count as 0.
     """
-    m = jr.m
-    g = _checked_weight(g, m)
-    jc = jr.as_complex()
-    iu = np.triu_indices(m)
-    k = np.arange(len(iu[0]))
-    sym = np.zeros((len(k), m, m))
-    sym[k, iu[0], iu[1]] = sym[k, iu[1], iu[0]] = 1.0
-    off = sym[iu[0] != iu[1]]
-    anti = np.triu(off) - np.tril(off)  # basis of B = Im Z
-    lam = np.linalg.eigvalsh(g)
-    if lam[0] <= RANK_TOL * lam[-1]:
-        anti = anti[:0]
-    x = (jr.real_part + max(1.0, frob(jc)) * np.eye(m))[iu]
-    y = np.zeros(len(anti))
-    base = float(np.trace(g @ jr.real_part))
-    t = 1.0 / max(1.0, frob(jc))
-    for _ in range(_PATH_CAP):
-        x = _center(x, t, g, -jc, sym)
-        y = _center(y, t, -1j * jr.imag_part, g, 1j * anti)
-        s, b = np.tensordot(x, sym, 1), np.tensordot(y, anti, 1)
-        value, dual = float(np.sum(g * s)), base + float(np.sum(b * jr.imag_part))
-        # rounding of Tr G S and of the Cholesky test of S - J^R (componentwise
-        # ~ eps sqrt(a_i a_j), a = diag(S - ReJ^R)); large when S runs off along ker G
-        a = np.sqrt(np.clip(np.diag(s) - np.diag(jr.real_part), 0.0, None))
-        err = m * m * np.finfo(float).eps * float(np.sum(np.abs(g) * (np.abs(s) + np.outer(a, a))))
-        tol = ORACLE_GAP_TOL * max(1.0, abs(value))
-        if err <= tol and 0.0 <= value - dual <= tol:
-            return OracleResult(value, dual, value - dual, s)
-        t *= _PATH_STEP
-    raise ConvergenceError(
-        f"min-trace oracle: gap {value - dual:.3e} (rounding bound {err:.3e}) after "
-        f"{_PATH_CAP} centerings (tolerance {ORACLE_GAP_TOL:.0e} * max(1, |value|))"
-    )
+    w, q, r, jf = _frame(jr, g)
+    d = np.sqrt(w[:r])
+    s, z, delta = _certificate(d, jf)
+    mm, tol = s - jf, jr.m * RANK_TOL * frob(w)
+    schur = d[:, None] * (mm[:r, :r] - mm[:r, r:] @ np.linalg.solve(mm[r:, r:], mm[r:, :r])) * d
+    value, dual = float(w[:r] @ np.diag(s)[:r]), float(np.vdot(jf, z).real) - delta * r
+    psd = min(np.linalg.eigvalsh(mm[r:, r:]).min(initial=1.0), np.linalg.eigvalsh(schur).min(initial=1.0))
+    failed = [name for name, bad in (
+        ("S - J^R >= 0", psd <= 0.0),
+        ("Z >= 0", np.linalg.eigvalsh(z)[0] < -tol),
+        ("Re Z = G", frob(z.real - np.diag(w)) > tol),
+        ("gap", not 0.0 <= value - dual <= ORACLE_GAP_TOL * max(1.0, abs(value))),
+    ) if bad]
+    if failed:
+        raise ConvergenceError(f"min-trace certificate failed {failed}: value {value!r}, dual {dual!r}")
+    s = q @ s @ q.T
+    return OracleResult(value, dual, value - dual, 0.5 * (s + s.T))

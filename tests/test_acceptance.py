@@ -43,11 +43,12 @@ from qig.reverse import (
     local_reverse_estimate,
     min_trace_oracle,
     multiparam_bounds,
-    random_valid_lre,
     restricted_input_fisher,
     validate_reverse_estimate,
 )
 from qig.states import DensityMatrix
+
+from conftest import random_valid_lre
 
 
 def report(n, text):

@@ -1,11 +1,12 @@
 import copy
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qig import cli, divergence, fisher, harness, io, reverse
+from qig import cli, divergence, fisher, harness, io, linalg, reverse
 from qig.errors import SpecFileError
 from qig.harness import SuiteReport
 from qig.reverse import ORACLE_GAP_TOL
@@ -243,7 +244,7 @@ class TestBoundAndGaussian:
         res = json.loads(out.read_text())["results"]
         assert res["reverse_bound"] >= res["estimation_bound"]
         assert res["oracle_relative_difference"] <= 1e-3
-        assert "oracle_converged" not in res
+        assert "oracle_converged" not in res and res["oracle_attained"] is True
         assert res["oracle_dual"] <= res["reverse_bound"] <= res["oracle_value"]
         assert res["oracle_gap"] == res["oracle_value"] - res["oracle_dual"]
         assert res["tolerances"]["oracle_gap"] == ORACLE_GAP_TOL
@@ -275,8 +276,7 @@ class TestBoundAndGaussian:
         assert check["value"] == pytest.approx(0.01 / 1.01, rel=1e-6)
 
     def test_bound_singular_weight_keeps_bounds(self, tmp_path):
-        # G = v v^T on m = 3: the minimum is not attained and the oracle
-        # cannot certify it; the bounds are still printed and reported
+        # G = v v^T on m = 3: the minimum is not attained, yet the certificate brackets it
         spec = write_json(
             tmp_path / "threepar.json",
             {
@@ -296,10 +296,22 @@ class TestBoundAndGaussian:
         res = json.loads(out.read_text())["results"]
         assert res["reverse_bound"] == pytest.approx(0.78125, abs=1e-12)
         assert res["reverse_bound"] >= res["estimation_bound"]
-        assert res["oracle_error"].startswith("min-trace oracle: gap")
-        assert not {"oracle_value", "oracle_dual", "oracle_gap"} & set(res)
+        assert res["oracle_dual"] <= res["reverse_bound"] <= res["oracle_value"]
+        assert res["oracle_gap"] <= ORACLE_GAP_TOL * max(1.0, abs(res["oracle_value"]))
+        assert res["oracle_attained"] is False
         (check,) = res["checks"]
-        assert check["passed"] is None and check["skipped"]
+        assert check["name"] == "oracle_vs_closed" and check["passed"]
+
+    def test_bound_scaled_spabs_exits_2(self, twopar_spec, tmp_path, monkeypatch):
+        # the certificate does not call spabs: a closed form 1 % off its Spabs term fails the check
+        out = tmp_path / "b.json"
+        spabs = linalg.spabs
+        for module in (linalg, reverse):
+            monkeypatch.setattr(module, "spabs", lambda g, k: 1.01 * spabs(g, k))
+        assert cli.main(["bound", "--family", twopar_spec, "--out", str(out)]) == 2
+        res = json.loads(out.read_text())["results"]
+        assert not res["oracle_dual"] <= res["reverse_bound"] <= res["oracle_value"]
+        assert res["checks"][0]["margin"] < 0
 
     def test_bound_complex_weight_refused(self, twopar_spec, tmp_path, capsys):
         # the Hermitian weight [[1, 0.5i], [-0.5i, 1]] used to run as G = I
@@ -468,7 +480,7 @@ class TestExitCodesAndSeeds:
     def test_sidecar_report_path(self, bloch_spec, capsys):
         assert cli.main(["fisher", "--family", bloch_spec]) == 0
         sidecar = bloch_spec.replace(".json", ".report.json")
-        assert json.loads(open(sidecar).read())["results"]
+        assert json.loads(Path(sidecar).read_text())["results"]
 
     def test_divergence_sidecar_next_to_rho(self, qubit_pair, tmp_path, monkeypatch):
         rho, sigma = qubit_pair

@@ -1,5 +1,3 @@
-import time
-
 import numpy as np
 import pytest
 
@@ -25,11 +23,12 @@ from qig.reverse import (
     local_reverse_estimate,
     min_trace_oracle,
     multiparam_bounds,
-    random_valid_lre,
     restricted_input_fisher,
     validate_reverse_estimate,
 )
 from qig.states import DensityMatrix, FamilyPoint
+
+from conftest import random_valid_lre
 
 
 def bloch_grid(r, thetas):
@@ -124,6 +123,22 @@ class TestValidateReverseEstimate:
         with pytest.raises(InvalidCandidateError) as exc:
             validate_reverse_estimate(cand, pt)
         assert exc.value.rho_residual > 1e-6
+
+    def test_stacked_optimum_validates(self):
+        # the tangent of parameter i used to be read from scores[i], the stack axis (residual 2.87 here)
+        pts = [random_family_point(3, 1, seed) for seed in range(4)]
+        stack = FamilyPoint([0.0], DensityMatrix(np.array([pt.rho.mat for pt in pts])),
+                            [np.array([pt.tangents[0] for pt in pts])])
+        rep = validate_reverse_estimate(local_reverse_estimate(stack), stack)
+        singles = [validate_reverse_estimate(local_reverse_estimate(pt), pt) for pt in pts]
+        assert rep.tangent_residual <= 1e-10 and rep.rho_residual <= 1e-10
+        assert abs(rep.gap) <= 1e-8
+        np.testing.assert_allclose(rep.input_fisher.real_part[:, 0, 0], [s.input_fisher.scalar for s in singles], rtol=1e-12)
+        # one member off: the stack is refused with that member's residual
+        bad = FamilyPoint([0.0], stack.rho, [np.array([pt.tangents[0] for pt in pts[:3]] + [-pts[3].tangents[0]])])
+        with pytest.raises(InvalidCandidateError) as exc:
+            validate_reverse_estimate(local_reverse_estimate(stack), bad)
+        assert exc.value.tangent_residual == pytest.approx(2 * frob(pts[3].tangents[0]), rel=1e-10)
 
 
 class TestRandomValidLre:
@@ -305,29 +320,52 @@ class TestMinTraceOracle:
         assert np.min(np.linalg.eigvalsh(res.minimizer - jr.as_complex())) > 0.0
 
     def test_singular_weight_ends_within_cap(self):
-        # the minimum is not attained when G has a kernel: either a bracket
-        # holding the closed form or a ConvergenceError, in bounded time
+        # the minimum is not attained when ImJ^R couples range(G) to ker G; every case still certifies
         gauss = QFisherMatrix.from_complex(gaussian_closed_form(GaussianSpec()), "RLD")
         v = np.array([1.0, -2.0, 0.5])
         m3 = rld_fisher(random_family_point(3, 3, 4))
         cases = [(gauss, np.diag([1.0, 0.0])), (m3, np.outer(v, v))]
-        # rank-deficient weights, some with kernels off the coordinate axes:
-        # there the primal path runs off to where Tr G S is pure rounding
+        # rank-deficient weights, some with kernels off the coordinate axes
         for seed in range(12):
             rng = np.random.default_rng(seed)
             m, dim = int(rng.integers(2, 5)), int(rng.integers(2, 4))
             w = rng.normal(size=(m, int(rng.integers(1, m))))
             cases.append((rld_fisher(random_family_point(dim, m, seed)), w @ w.T))
         for jr, g in cases:
+            assert_certified(min_trace_oracle(jr, g), multiparam_bounds(jr, g).reverse)
+        assert not reverse.oracle_attained(gauss, np.diag([1.0, 0.0]))
+        assert reverse.oracle_attained(gauss, np.eye(2)) and reverse.oracle_attained(m3, np.outer(v, v) + np.eye(3))
+
+    def test_seeded_full_rank_cases_certified(self):
+        # m = 3 pins the sgn H pitfall: H then has a rounding-level eigenvalue, whose sgn must be 0
+        for t in range(1000):
+            rng = child_rng(2306, t)
+            m, dim = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+            jr = rld_fisher(random_family_point(dim, m, rng))
+            a = rng.normal(size=(m, m))
+            g = a @ a.T + 0.01 * np.eye(m)
             closed = multiparam_bounds(jr, g).reverse
-            t0 = time.perf_counter()
-            try:
-                res = min_trace_oracle(jr, g)
-            except ConvergenceError:
-                pass
-            else:
-                assert_certified(res, closed)
-            assert time.perf_counter() - t0 < 30.0
+            res = min_trace_oracle(jr, g)
+            assert_certified(res, closed)
+            assert abs(res.value - closed) <= 1e-11 * abs(closed)
+
+    def test_flipped_imaginary_part_refused(self, monkeypatch):
+        # the certificate built for the conjugate J^R (K -> -K) has the estimation bound as its dual: the gap check fails
+        certificate = reverse._certificate
+        monkeypatch.setattr(reverse, "_certificate", lambda d, jf: certificate(d, jf.conj()))
+        jr = QFisherMatrix.from_complex(gaussian_closed_form(GaussianSpec()), "RLD")
+        with pytest.raises(ConvergenceError, match="gap"):
+            min_trace_oracle(jr, np.eye(2))
+
+    def test_weight_floor_scales_with_weight(self):
+        # an eigenvalue of -5 % of the largest passed the absolute -1e-10 floor
+        jr = QFisherMatrix(2, np.eye(2), np.zeros((2, 2)), "RLD")
+        for solve in (multiparam_bounds, min_trace_oracle):
+            with pytest.raises(ValueError, match="PSD"):
+                solve(jr, np.diag([1e-9, -5e-11]))
+        jr3 = rld_fisher(random_family_point(2, 3, 5))
+        for g in (np.diag([1.0, 0.0, 0.0]), np.ones((3, 3))):
+            assert_certified(min_trace_oracle(jr3, g), multiparam_bounds(jr3, g).reverse)
 
     def test_non_psd_weight_rejected(self):
         jr = QFisherMatrix(2, np.eye(2), np.zeros((2, 2)), "RLD")
