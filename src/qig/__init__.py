@@ -9,10 +9,9 @@ __version__ = "0.1.0"
 
 from .channels import Ensemble, KrausChannel, POVM
 from .fisher import ClassicalFamilyPoint, QFisherMatrix
-from .states import AmplitudeMatrix, DensityMatrix, FamilyPoint
+from .states import DensityMatrix, FamilyPoint
 
 __all__ = [
-    "AmplitudeMatrix",
     "ClassicalFamilyPoint",
     "DensityMatrix",
     "Ensemble",

@@ -1,4 +1,4 @@
-"""POVMs, Kraus channels, QC/CQ maps and seeded random instances.
+"""POVMs, Kraus channels, ensembles, the QC map and seeded random instances.
 
 POVM elements and Kraus operators may be (..., d, d) stacks, one member
 per instance, as may the states and tangents the maps act on.
@@ -110,15 +110,6 @@ def apply_channel(point: FamilyPoint, ch: KrausChannel) -> FamilyPoint:
     rho = DensityMatrix(ch.apply(point.rho.mat))
     tangents = [herm(ch.apply(x)) for x in point.tangents]
     return FamilyPoint(point.theta, rho, tangents)
-
-
-def cq_map(classical: ClassicalFamilyPoint, states: list[np.ndarray]) -> FamilyPoint:
-    """CQ map: rho = sum p(x)|phi_x><phi_x|, tangents from the score rows."""
-    if len(states) != classical.probs.shape[0]:
-        raise DimensionMismatchError("outcome count does not match state count")
-    ens = Ensemble(classical.probs, states)
-    rho = DensityMatrix(ens.mix(ens.weights))
-    return FamilyPoint(classical.theta, rho, [ens.mix(row) for row in classical.scores])
 
 
 # --- seeded random instances -------------------------------------------------

@@ -3,8 +3,9 @@
 Subcommands map onto the library surface: fisher (information matrices),
 reverse (optimal local reverse estimation), global (exact simulation of
 a commuting grid family), monotone (randomized sandwich/monotonicity
-suites), divergence (two-state divergences), bound (multiparameter
-reverse/estimation bounds), gaussian (truncated Gaussian example).
+and SLD/RLD complementarity suites), divergence (two-state
+divergences), bound (multiparameter reverse/estimation bounds),
+gaussian (truncated Gaussian example).
 
 Each subcommand prints its human-readable table to stdout (6 significant
 digits) and returns (primary input, spec echo, results, passed); ``main``
@@ -29,6 +30,7 @@ from .families import build_family
 from .fisher import km_fisher, rld_fisher, sld_fisher
 from .harness import (
     GaussianSpec,
+    complementarity_suite,
     gaussian_check,
     monotone_divergence_suite,
     monotone_metric_suite,
@@ -39,7 +41,6 @@ from .reverse import (
     local_reverse_estimate,
     min_trace_oracle,
     multiparam_bounds,
-    oracle_attained,
     restricted_input_fisher,
     validate_reverse_estimate,
 )
@@ -162,7 +163,8 @@ def _cmd_monotone(args):
     dims = tuple(int(d) for d in args.dims.split(","))
     met = monotone_metric_suite(args.trials, dims, args.seed)
     div = monotone_divergence_suite(args.trials, dims, args.seed + 1)
-    for rep in (met, div):
+    com = complementarity_suite(args.trials, dims, args.seed + 2)
+    for rep in (met, div, com):
         print(f"suite {rep.suite}: trials {rep.trials}  pass {rep.passed}")
         for name, (lo, hi) in rep.slack_range.items():
             print(f"  {name:>24s}: min slack {_fmt(lo)}  max slack {_fmt(hi)}")
@@ -171,9 +173,11 @@ def _cmd_monotone(args):
     results = {
         "metric_suite": io.suite_report_to_json(met),
         "divergence_suite": io.suite_report_to_json(div),
+        "complementarity_suite": io.suite_report_to_json(com),
         "tolerances": {"slack": harness.METRIC_SLACK_TOL},
     }
-    return None, {"trials": args.trials, "dims": list(dims), "seed": args.seed}, results, met.passed and div.passed
+    passed = met.passed and div.passed and com.passed
+    return None, {"trials": args.trials, "dims": list(dims), "seed": args.seed}, results, passed
 
 
 def _check(name, value, tol) -> dict:
@@ -232,12 +236,11 @@ def _cmd_bound(args):
     g = g.real
     mb = multiparam_bounds(jr, g)
     res = min_trace_oracle(jr, g)
-    attained = oracle_attained(jr, g)
     rel = abs(res.value - mb.reverse) / max(1e-15, abs(mb.reverse))
     print(f"reverse-estimation bound : {_fmt(mb.reverse)}")
     print(f"estimation bound         : {_fmt(mb.estimation)}")
     print(f"min-trace oracle         : [{_fmt(res.dual)}, {_fmt(res.value)}]  "
-          f"(gap {_fmt(res.gap)}, rel. diff {_fmt(rel)}, {'attained' if attained else 'not attained'})")
+          f"(gap {_fmt(res.gap)}, rel. diff {_fmt(rel)}, {'attained' if res.attained else 'not attained'})")
     checks = [_check("oracle_vs_closed", rel, reverse.ORACLE_REL_TOL)]
     results = {
         "rld_fisher": io.qfisher_to_json(jr),
@@ -248,7 +251,7 @@ def _cmd_bound(args):
         "oracle_dual": res.dual,
         "oracle_gap": res.gap,
         "oracle_relative_difference": rel,
-        "oracle_attained": attained,
+        "oracle_attained": res.attained,
         "checks": checks,
         "tolerances": {"oracle_relative": reverse.ORACLE_REL_TOL, "oracle_gap": ORACLE_GAP_TOL},
     }
@@ -289,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, family=True)
     p = sub.add_parser("global", help="global reverse estimation over a theta grid")
     common(p, family=True)
-    p = sub.add_parser("monotone", help="randomized monotone metric/divergence suites")
+    p = sub.add_parser("monotone", help="randomized metric, divergence and complementarity suites")
     common(p)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--dims", type=str, default="2,3")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import Ensemble, as_rng
+from .channels import Ensemble
 from .errors import RankDeficiencyError
 from .linalg import frob
 from .states import DensityMatrix, check_traces
@@ -115,9 +115,6 @@ class TwoPointReverseEstimate:
         if self.p_rho.shape[-1] != self.ensemble.size or self.p_sigma.shape[-1] != self.ensemble.size:
             raise ValueError("distribution length does not match ensemble size")
 
-    def reconstruct(self, which: str) -> np.ndarray:
-        return self.ensemble.mix(self.p_rho if which == "rho" else self.p_sigma)
-
     def input_kl(self) -> float:
         return kl(self.p_rho, self.p_sigma)
 
@@ -137,29 +134,3 @@ def two_point_reverse_estimate(rho: DensityMatrix, sigma: DensityMatrix) -> TwoP
     ens = Ensemble.from_columns(u @ (np.sqrt(mu)[..., :, None] * wv))
     p_rho = np.clip(d_x, 0.0, None) * ens.weights
     return TwoPointReverseEstimate(ens, p_rho / p_rho.sum(axis=-1, keepdims=True), ens.weights)
-
-
-def split_two_point_estimate(tpre: TwoPointReverseEstimate, seed=0) -> TwoPointReverseEstimate:
-    """Non-minimal variant: randomly split three components with uneven weight ratios.
-
-    Each split duplicates a shared state and divides its rho- and
-    sigma-weights with independent ratios, so both reconstructions are
-    preserved while the input KL can only grow (log-sum inequality).
-    """
-    rng = as_rng(seed)
-    states = list(tpre.ensemble.states)
-    p_rho = list(tpre.p_rho)
-    p_sigma = list(tpre.p_sigma)
-    for _ in range(3):
-        x = int(rng.integers(len(states)))
-        a = float(rng.uniform(0.2, 0.8))
-        b = float(rng.uniform(0.2, 0.8))
-        states.append(states[x])
-        p_rho.append((1.0 - a) * p_rho[x])
-        p_rho[x] *= a
-        p_sigma.append((1.0 - b) * p_sigma[x])
-        p_sigma[x] *= b
-    p_sigma = np.asarray(p_sigma)
-    return TwoPointReverseEstimate(
-        Ensemble(p_sigma / p_sigma.sum(), states), np.asarray(p_rho), p_sigma
-    )

@@ -27,10 +27,6 @@ class RldExistenceError(QigError):
         )
 
 
-class GaugeError(QigError):
-    """Matrix supplied as a gauge transform is not a co-isometry."""
-
-
 class SingularFamilyError(QigError):
     """Classical family has a zero-probability outcome with nonzero score."""
 

@@ -1,9 +1,10 @@
 """Randomized verification suites and the Fock-truncated Gaussian family.
 
 The suites draw each trial's seeded Ginibre blocks with one normal call,
-evaluate the metric/divergence sandwich and monotonicity checks once per
-dimension on complex stacks of them, and collect slacks: a check "a <= b"
-records the slack b - a; a violation is a slack not >= -tolerance (or NaN).
+evaluate the metric/divergence sandwich, monotonicity and SLD/RLD
+complementarity checks once per dimension on complex stacks of them, and
+collect slacks: a check "a <= b" records the slack b - a, an equality
+-|a - b|; a violation is a slack not >= -tolerance (or NaN).
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ import numpy as np
 
 from .channels import (
     apply_channel, child_rng, density_from, family_point_from, ginibre_split, kraus_from, measure,
-    optimal_sld_povm, povm_from,
+    optimal_sld_povm, povm_from, unitary_from,
 )
 from .divergence import rld_divergence, two_point_reverse_estimate, umegaki
 from .errors import QigError, TruncationError
-from .fisher import classical_fisher, km_fisher, rld_fisher, sld_fisher
-from .linalg import RANK_TOL
+from .fisher import classical_fisher, km_fisher, rld, rld_fisher, sld, sld_fisher
+from .linalg import RANK_TOL, herm
 from .reverse import input_fisher, local_reverse_estimate, multiparam_bounds
 from .states import DensityMatrix, FamilyPoint
 
@@ -140,6 +141,32 @@ def monotone_divergence_suite(trials: int, dims=(2, 3), seed: int = 43) -> Suite
     # the draws of rho and sigma (random_density(dim)), random_kraus(dim) and a qubit pair
     blocks = lambda dim: ((2, dim), (1, 2 * dim), (2, 2))
     return _run_stacked("monotone_divergence", trials, dims, seed, blocks, _divergence_checks)
+
+
+def _complementarity_checks(g_point, g_gauge) -> dict:
+    point = family_point_from(g_point)
+    rho = point.rho
+    l_sld, l_rld = sld(rho, point.tangents[0]), rld(rho, point.tangents)[0]
+    point.rld_checked = True  # rld_fisher(point) would repeat rld's existence check
+    w = rho.func(np.sqrt) @ unitary_from(g_gauge[:, 0])
+    wd = w.conj().swapaxes(-1, -2)
+    ancilla = DensityMatrix(wd @ w)  # decomposed on its own: the check does not reuse rho's spectrum
+    lift = lambda l: FamilyPoint(point.theta, ancilla, [herm(wd @ l @ w)])  # the ancilla tangent Y of M = L W
+    return {
+        "sld_equals_ancilla_rld": -abs(rld_fisher(lift(l_sld)).scalar - sld_fisher(point).scalar),
+        "rld_equals_ancilla_sld": -abs(sld_fisher(lift(l_rld)).scalar - rld_fisher(point).scalar),
+    }
+
+
+def complementarity_suite(trials: int, dims=(2, 3), seed: int = 44) -> SuiteReport:
+    """SLD and RLD complement via purification: J^S(rho; X) = J^R(sigma; Y_SLD), J^R(rho; X) = J^S(sigma; Y_RLD).
+
+    W = rho^(1/2) U in a Haar gauge U, sigma = W^dag W, and Y = (W^dag M + M^dag W)/2 for the lift
+    M = L W of X through its SLD or RLD L (Uhlmann, Rep. Math. Phys. 24, 229 (1986)).
+    """
+    # the draws of random_family_point(dim) and random_unitary(dim)
+    blocks = lambda dim: ((2, dim), (1, dim))
+    return _run_stacked("complementarity", trials, dims, seed, blocks, _complementarity_checks)
 
 
 # --- Fock-truncated Gaussian family ------------------------------------------

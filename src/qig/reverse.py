@@ -251,19 +251,7 @@ class OracleResult:
     dual: float  # Tr Z J^R at a feasible Z, less the primal's margin: a lower bound
     gap: float  # value - dual
     minimizer: np.ndarray  # the real symmetric S
-
-
-def _frame(jr: QFisherMatrix, g):
-    """(w, Q, r, Q^T J^R Q): G = Q diag(w) Q^T with range(G) first, r = rank G under the RANK_TOL cut."""
-    w, q = np.linalg.eigh(_checked_weight(g, jr.m))
-    w, q = w[::-1], q[:, ::-1]
-    return w, q, int(support_mask(w).sum()), q.T @ jr.as_complex() @ q
-
-
-def oracle_attained(jr: QFisherMatrix, g) -> bool:
-    """False when ImJ^R couples range(G) to ker G: min_trace_oracle's S_kk then grows like 1/delta."""
-    _, _, r, jf = _frame(jr, g)
-    return frob(jf.imag[:r, r:]) <= RANK_TOL * frob(jf)
+    attained: bool  # False when ImJ^R couples range(G) to ker G: S_kk then grows like 1/delta
 
 
 def _certificate(d: np.ndarray, jf: np.ndarray):
@@ -297,7 +285,9 @@ def min_trace_oracle(jr: QFisherMatrix, g: np.ndarray, seed: int = 0, restarts: 
     (multiparam_bounds; Boyd & Vandenberghe, Convex Optimization, 5.2 and A.5.5).  Eigenvalues
     of G below the RANK_TOL cut count as 0.
     """
-    w, q, r, jf = _frame(jr, g)
+    w, q = np.linalg.eigh(_checked_weight(g, jr.m))
+    w, q = w[::-1], q[:, ::-1]  # G = Q diag(w) Q^T with range(G) first, r = rank G
+    r, jf = int(support_mask(w).sum()), q.T @ jr.as_complex() @ q
     d = np.sqrt(w[:r])
     s, z, delta = _certificate(d, jf)
     mm, tol = s - jf, jr.m * RANK_TOL * frob(w)
@@ -313,4 +303,5 @@ def min_trace_oracle(jr: QFisherMatrix, g: np.ndarray, seed: int = 0, restarts: 
     if failed:
         raise ConvergenceError(f"min-trace certificate failed {failed}: value {value!r}, dual {dual!r}")
     s = q @ s @ q.T
-    return OracleResult(value, dual, value - dual, 0.5 * (s + s.T))
+    attained = bool(frob(jf.imag[:r, r:]) <= RANK_TOL * frob(jf))
+    return OracleResult(value, dual, value - dual, 0.5 * (s + s.T), attained)

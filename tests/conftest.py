@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qig.channels import Ensemble, as_rng, random_density
+from qig.divergence import TwoPointReverseEstimate
 from qig.errors import RankDeficiencyError
 from qig.families import PAULI_Z, bloch_rotation_point
 from qig.linalg import frob, herm
@@ -91,3 +92,29 @@ def random_valid_lre(point: FamilyPoint, seed=0) -> LocalReverseEstimate:
         # fall back to the exact min-norm solution
         lam = lam0
     return LocalReverseEstimate(Ensemble.from_columns(u @ (np.sqrt(w)[:, None] * v)), lam[None, :], point.theta)
+
+
+def split_two_point_estimate(tpre: TwoPointReverseEstimate, seed=0) -> TwoPointReverseEstimate:
+    """Non-minimal variant: randomly split three components with uneven weight ratios.
+
+    Each split duplicates a shared state and divides its rho- and
+    sigma-weights with independent ratios, so both reconstructions are
+    preserved while the input KL can only grow (log-sum inequality).
+    """
+    rng = as_rng(seed)
+    states = list(tpre.ensemble.states)
+    p_rho = list(tpre.p_rho)
+    p_sigma = list(tpre.p_sigma)
+    for _ in range(3):
+        x = int(rng.integers(len(states)))
+        a = float(rng.uniform(0.2, 0.8))
+        b = float(rng.uniform(0.2, 0.8))
+        states.append(states[x])
+        p_rho.append((1.0 - a) * p_rho[x])
+        p_rho[x] *= a
+        p_sigma.append((1.0 - b) * p_sigma[x])
+        p_sigma[x] *= b
+    p_sigma = np.asarray(p_sigma)
+    return TwoPointReverseEstimate(
+        Ensemble(p_sigma / p_sigma.sum(), states), np.asarray(p_rho), p_sigma
+    )

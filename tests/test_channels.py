@@ -7,7 +7,6 @@ from qig.channels import (
     POVM,
     apply_channel,
     child_rng,
-    cq_map,
     ginibre,
     ginibre_split,
     measure,
@@ -19,10 +18,10 @@ from qig.channels import (
     random_unitary,
 )
 from qig.errors import DimensionMismatchError
-from qig.families import PAULI_X, PAULI_Y, PAULI_Z, bloch_rotation_point
+from qig.families import PAULI_X, PAULI_Y, PAULI_Z, bloch_rotation_point, classical_simplex_point
 from qig.fisher import classical_fisher, rld_fisher, sld_fisher
 from qig.linalg import frob, herm
-from qig.reverse import local_reverse_estimate
+from qig.reverse import local_reverse_estimate, validate_reverse_estimate
 from qig.states import DensityMatrix, FamilyPoint
 
 
@@ -158,34 +157,28 @@ class TestApplyChannel:
 
 
 class TestCqMap:
+    """The CQ map p -> sum_x p(x) |phi_x><phi_x| is Ensemble.mix; on a basis it is classical_simplex_point."""
+
     def test_orthonormal_states_embed_classical(self):
         from qig.fisher import ClassicalFamilyPoint
 
         cls = ClassicalFamilyPoint([0.0], [0.3, 0.7], [[0.5, -0.5]])
-        pt = cq_map(cls, [np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+        pt = classical_simplex_point(cls.probs, cls.scores)
         jc = classical_fisher(cls).scalar
         assert sld_fisher(pt).scalar == pytest.approx(jc, rel=1e-12)
         assert rld_fisher(pt).scalar == pytest.approx(jc, rel=1e-12)
 
     def test_identical_states_constant_family(self):
-        from qig.fisher import ClassicalFamilyPoint
-
-        cls = ClassicalFamilyPoint([0.0], [0.5, 0.5], [[1.0, -1.0]])
         v = np.array([1.0, 0.0])
-        pt = cq_map(cls, [v, v])
-        assert frob(pt.tangents[0]) <= 1e-14
+        ens = Ensemble([0.5, 0.5], [v, v])
+        assert frob(ens.mix(ens.weights) - np.outer(v, v)) <= 1e-14
+        assert frob(ens.mix([1.0, -1.0])) <= 1e-14  # the tangent of scores [1, -1]
 
     def test_roundtrip_with_lre(self):
-        from qig.fisher import ClassicalFamilyPoint
-
         pt = bloch_rotation_point(0.8, 0.0)
-        lre = local_reverse_estimate(pt)
-        cls = ClassicalFamilyPoint(
-            pt.theta, lre.ensemble.weights, lre.scores * lre.ensemble.weights
-        )
-        recon = cq_map(cls, lre.ensemble.states)
-        assert frob(recon.rho.mat - pt.rho.mat) <= 1e-10
-        assert frob(recon.tangents[0] - pt.tangents[0]) <= 1e-10
+        rep = validate_reverse_estimate(local_reverse_estimate(pt), pt)
+        assert rep.rho_residual <= 1e-10
+        assert rep.tangent_residual <= 1e-10
 
 
 class TestRandomInstances:

@@ -405,6 +405,21 @@ class TestExitCodesAndSeeds:
         monkeypatch.chdir(tmp_path)
         assert cli.main(["monotone", "--trials", "1"]) == 2
 
+    def test_complementarity_violation_exit_2(self, tmp_path, monkeypatch, capsys):
+        failing = SuiteReport("complementarity", 0, 1, {}, [(0, "rld_equals_ancilla_sld", -1.0)], False)
+        monkeypatch.setattr(cli, "complementarity_suite", lambda *a, **k: failing)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["monotone", "--trials", "1"]) == 2
+        assert "suite complementarity: trials 1  pass False" in capsys.readouterr().out
+
+    def test_monotone_reports_complementarity_suite(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "r.json"
+        assert cli.main(["monotone", "--trials", "4", "--dims", "2,3", "--seed", "5", "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())["results"]["complementarity_suite"]
+        assert rep["suite"] == "complementarity" and rep["master_seed"] == 7 and rep["passed"]
+        assert list(rep["slack_range"]) == ["sld_equals_ancilla_rld", "rld_equals_ancilla_sld"]
+
     def test_monotone_small_run_passes(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert cli.main(["monotone", "--trials", "3", "--dims", "2", "--seed", "5"]) == 0

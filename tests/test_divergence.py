@@ -9,7 +9,6 @@ from qig.divergence import (
     kl,
     rld_divergence,
     rld_divergence_integral,
-    split_two_point_estimate,
     two_point_reverse_estimate,
     umegaki,
 )
@@ -17,7 +16,7 @@ from qig.errors import RankDeficiencyError
 from qig.linalg import frob
 from qig.states import DensityMatrix
 
-from conftest import geometric, haar, random_qubit_pair, state
+from conftest import geometric, haar, random_qubit_pair, split_two_point_estimate, state
 
 EPS = np.finfo(float).eps
 
@@ -234,8 +233,8 @@ class TestTwoPointReverseEstimate:
             rho = random_density(dim, rng)
             sigma = random_density(dim, rng)
             tpre = two_point_reverse_estimate(rho, sigma)
-            assert frob(tpre.reconstruct("rho") - rho.mat) <= 1e-10
-            assert frob(tpre.reconstruct("sigma") - sigma.mat) <= 1e-10
+            assert frob(tpre.ensemble.mix(tpre.p_rho) - rho.mat) <= 1e-10
+            assert frob(tpre.ensemble.mix(tpre.p_sigma) - sigma.mat) <= 1e-10
 
     def test_rank_deficient_sigma_rejected(self):
         rho = random_density(2, 1)
@@ -250,8 +249,8 @@ class TestTwoPointReverseEstimate:
             sigma = random_density(2, rng)
             tpre = two_point_reverse_estimate(rho, sigma)
             split = split_two_point_estimate(tpre, seed=rng)
-            assert frob(split.reconstruct("rho") - rho.mat) <= 1e-10
-            assert frob(split.reconstruct("sigma") - sigma.mat) <= 1e-10
+            assert frob(split.ensemble.mix(split.p_rho) - rho.mat) <= 1e-10
+            assert frob(split.ensemble.mix(split.p_sigma) - sigma.mat) <= 1e-10
             # non-minimal simulations can only pay more (log-sum inequality)
             assert split.input_kl() >= rld_divergence(rho, sigma) - 1e-8
 

@@ -16,14 +16,15 @@ import numpy as np
 import pytest
 
 from qig import fisher, linalg
-from qig.channels import optimal_sld_povm, random_family_point
+from qig.channels import optimal_sld_povm, random_family_point, random_unitary
 from qig.divergence import rld_divergence, two_point_reverse_estimate
 from qig.errors import RldExistenceError
 from qig.families import bloch_rotation_point, fixed_basis_family
 from qig.fisher import km_fisher, rld_fisher, sld, sld_fisher
 from qig.linalg import RANK_TOL, frob, support_leak
+from qig.harness import complementarity_suite
 from qig.reverse import global_reverse_estimate, local_reverse_estimate, restricted_input_fisher
-from qig.states import DensityMatrix, FamilyPoint, canonical_amplitude, lift_tangent, project
+from qig.states import DensityMatrix, FamilyPoint
 
 from conftest import geometric, haar, state
 
@@ -289,10 +290,12 @@ class TestDecompositionCounts:
         point = random_family_point(5, 1, seed=6)
         x = point.tangents[0]
         assert decompositions(lambda: sld(point.rho, x)) == (0, 0)
-        w = canonical_amplitude(point.rho)
-        built = decompositions(lambda: project(w, "system"))  # lift_tangent builds rho = W W^dag itself
-        assert built == (1, 1)
-        assert decompositions(lambda: lift_tangent(w, x, "SLD")) == built
+        w = point.rho.func(np.sqrt) @ random_unitary(5, 6)  # a purification: W W^dag = rho
+        assert decompositions(lambda: sld(point.rho, x) @ w) == (0, 0)  # the SLD lift M = L W
+
+    def test_complementarity_suite_decomposes_each_state_stack_once(self, decompositions):
+        # per dimension, the rho stack and the ancilla stack W^dag W: the ancilla side gets its own spectrum
+        assert decompositions(lambda: complementarity_suite(50, (2, 3), 44)) == (4, 4)
 
     def test_optimal_sld_povm_decomposes_l_only(self, decompositions):
         point = random_family_point(5, 1, seed=7)

@@ -12,21 +12,24 @@ from qig.channels import (
     random_family_point,
     random_kraus,
     random_povm,
+    random_unitary,
 )
 from qig.divergence import rld_divergence, two_point_reverse_estimate, umegaki
 from qig.errors import TruncationError
 from qig.families import bloch_rotation_point
-from qig.fisher import classical_fisher, ClassicalFamilyPoint, km_fisher, rld_fisher, sld_fisher
+from qig.fisher import classical_fisher, ClassicalFamilyPoint, km_fisher, rld, rld_fisher, sld, sld_fisher
 from qig.harness import (
     COHERENT_CONVENTION,
     GaussianSpec,
     SuiteReport,
+    complementarity_suite,
     gaussian_check,
     gaussian_closed_form,
     gaussian_family,
     monotone_divergence_suite,
     monotone_metric_suite,
 )
+from qig.linalg import herm
 from qig.reverse import input_fisher, local_reverse_estimate
 from qig.states import DensityMatrix, FamilyPoint
 
@@ -65,9 +68,23 @@ def divergence_trial(dim, rng):
     }
 
 
+def complementarity_trial(dim, rng):
+    """One trial of the complementarity suite through the public single-instance API."""
+    point = random_family_point(dim, 1, rng)
+    rho, x = point.rho, point.tangents[0]
+    w = rho.func(np.sqrt) @ random_unitary(dim, rng)
+    ancilla = DensityMatrix(w.conj().T @ w)
+    lift = lambda l: FamilyPoint([0.0], ancilla, [herm(w.conj().T @ l @ w)])
+    return {
+        "sld_equals_ancilla_rld": -abs(rld_fisher(lift(sld(rho, x))).scalar - sld_fisher(point).scalar),
+        "rld_equals_ancilla_sld": -abs(sld_fisher(lift(rld(rho, x))).scalar - rld_fisher(point).scalar),
+    }
+
+
 SUITES = {
     "metric": (monotone_metric_suite, metric_trial),
     "divergence": (monotone_divergence_suite, divergence_trial),
+    "complementarity": (complementarity_suite, complementarity_trial),
 }
 
 
@@ -121,7 +138,7 @@ class TestKmFisher:
 
 class TestMetricSuite:
     def test_vacuous_run_rejected(self):
-        for suite in (monotone_metric_suite, monotone_divergence_suite):
+        for suite in (monotone_metric_suite, monotone_divergence_suite, complementarity_suite):
             for trials, dims in ((0, (2,)), (1, (1,)), (1, (2, 1)), (1, ())):
                 with pytest.raises(ValueError):
                     suite(trials, dims, 1)
@@ -155,6 +172,32 @@ class TestDivergenceSuite:
         assert a.slack_range == b.slack_range
 
 
+class TestComplementaritySuite:
+    """J^S(rho; X) = J^R(sigma; Y_SLD) and J^R(rho; X) = J^S(sigma; Y_RLD) on the ancilla sigma = W^dag W."""
+
+    def test_default_acceptance_run(self):
+        rep = complementarity_suite(200, (2, 3), 44)
+        assert rep.passed, rep.violations[:5]
+        assert min(lo for lo, _ in rep.slack_range.values()) >= -1e-12
+
+    def test_thousand_trials_up_to_d5(self):
+        rep = complementarity_suite(1000, (2, 3, 4, 5), 44)
+        assert rep.passed, rep.violations[:5]
+        assert min(lo for lo, _ in rep.slack_range.values()) >= -1e-12
+
+    def test_km_in_place_of_sld_fails_every_check(self, monkeypatch):
+        monkeypatch.setattr(harness, "sld_fisher", km_fisher)
+        rep = complementarity_suite(200, (2, 3), 44)
+        assert len(rep.violations) == 2 * 200
+
+    def test_bit_reproducible(self, monkeypatch):
+        # with every slack a violation, the reports carry each slack value
+        monkeypatch.setattr(harness, "METRIC_SLACK_TOL", -1e9)
+        a, b = complementarity_suite(40, (2, 3), 6), complementarity_suite(40, (2, 3), 6)
+        assert len(a.violations) == 2 * 40
+        assert a.violations == b.violations and a.slack_range == b.slack_range
+
+
 class TestStackedSuites:
     """The per-dimension stacked suites agree with the per-trial loop over the scalar API."""
 
@@ -177,6 +220,10 @@ class TestStackedSuites:
             "additivity_umegaki": (-1.9984014443252818e-14, -0.0),
             "additivity_rld_div": (-5.1514348342607263e-14, -0.0),
             "two_point_equality": (-2.1760371282653068e-14, -0.0),
+        },
+        ("complementarity", 44): {
+            "sld_equals_ancilla_rld": (-8.348877145181177e-14, -0.0),
+            "rld_equals_ancilla_sld": (-1.0658141036401503e-13, -0.0),
         },
     }
 
@@ -232,7 +279,7 @@ class TestStackedSuites:
         assert calls == [(t, name) for t in range(9) for name in ("integers", "normal")]
         assert_same_ranges(got.slack_range, reference_report(kind, 9, (2, 3), 4).slack_range)
 
-    @pytest.mark.parametrize("kind", list(SUITES))
+    @pytest.mark.parametrize("kind", ["metric", "divergence"])  # the suites that draw a channel
     def test_corrupted_member_raises_and_names_trial(self, kind, monkeypatch):
         # Kraus draws whose first Ginibre entry is large lose trace preservation; at seed 10
         # the first such trial lies in the second dimension evaluated, and the first has later ones

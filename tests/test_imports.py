@@ -1,4 +1,4 @@
-"""Cold-start guard: importing qig loads numpy only, and no scipy module."""
+"""Cold-start guard: importing qig loads numpy only, no scipy module, and every qig.__all__ name exists."""
 
 import json
 import os
@@ -14,6 +14,11 @@ PROBE = """
 import json, sys
 import qig, qig.cli
 report = {"scipy_modules": sorted(m for m in sys.modules if m.startswith("scipy"))}
+try:
+    exec("from qig import *", {})
+except AttributeError as exc:  # a stale __all__ entry
+    report["star_import_error"] = str(exc)
+report["unresolved"] = [n for n in qig.__all__ if not hasattr(qig, n)]
 import scipy.optimize
 report["lazy_minimize"] = qig.reverse.minimize is scipy.optimize.minimize
 try:
@@ -31,5 +36,7 @@ def test_fresh_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", PROBE], env=env, capture_output=True, text=True, check=True)
     report = json.loads(out.stdout)
     assert report["scipy_modules"] == []
+    assert "star_import_error" not in report
+    assert report["unresolved"] == []
     assert report["lazy_minimize"]
     assert report["unknown_name_raises"]

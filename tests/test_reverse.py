@@ -333,8 +333,8 @@ class TestMinTraceOracle:
             cases.append((rld_fisher(random_family_point(dim, m, seed)), w @ w.T))
         for jr, g in cases:
             assert_certified(min_trace_oracle(jr, g), multiparam_bounds(jr, g).reverse)
-        assert not reverse.oracle_attained(gauss, np.diag([1.0, 0.0]))
-        assert reverse.oracle_attained(gauss, np.eye(2)) and reverse.oracle_attained(m3, np.outer(v, v) + np.eye(3))
+        assert not min_trace_oracle(gauss, np.diag([1.0, 0.0])).attained
+        assert min_trace_oracle(gauss, np.eye(2)).attained and min_trace_oracle(m3, np.outer(v, v) + np.eye(3)).attained
 
     def test_seeded_full_rank_cases_certified(self):
         # m = 3 pins the sgn H pitfall: H then has a rounding-level eigenvalue, whose sgn must be 0
@@ -348,6 +348,7 @@ class TestMinTraceOracle:
             res = min_trace_oracle(jr, g)
             assert_certified(res, closed)
             assert abs(res.value - closed) <= 1e-11 * abs(closed)
+            assert res.attained  # a full-rank G has no kernel for ImJ^R to couple to
 
     def test_flipped_imaginary_part_refused(self, monkeypatch):
         # the certificate built for the conjugate J^R (K -> -K) has the estimation bound as its dual: the gap check fails
