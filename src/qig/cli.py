@@ -86,7 +86,10 @@ def _load_family(args, grid: bool = False):
     """(spec, family) of --family; refuses a grid kind where one point is needed, and vice versa."""
     spec = io.load_family_spec(args.family)
     if args.theta:
-        spec["theta"] = [float(v) for v in args.theta.split(",")]
+        try:
+            spec["theta"] = [float(v) for v in args.theta.split(",")]
+        except ValueError:
+            raise SpecFileError(f"--theta must be comma-separated numbers, got {args.theta!r}") from None
     family = build_family(spec)
     if isinstance(family, list) != grid:
         need = "a grid family (kind fixed_basis)" if grid else "a single family point"

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import io
 from .errors import SpecFileError
-from .fisher import ClassicalFamilyPoint, finite_difference_tangents
+from .fisher import ClassicalFamilyPoint
 from .harness import GaussianSpec, gaussian_family
 from .linalg import herm
 from .states import DensityMatrix, FamilyPoint
@@ -14,23 +15,22 @@ PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
+FIELDS = {  # the fields each kind takes besides `kind`: required ones first, then optional ones
+    "explicit": ("rho", "tangents", "theta"),
+    "bloch_rotation": ("r", "theta"),
+    "classical_simplex": ("probs", "scores", "theta"),
+    "fixed_basis": ("prob_table", "theta_grid", "basis", "score_table"),
+    "gaussian": ("sigma2", "hbar", "truncation", "theta"),
+}
 
-def bloch_rotation_matrix(r: float, theta: float) -> np.ndarray:
-    """rho = (I + r(cos theta sx + sin theta sy))/2 as a matrix; full rank for r < 1."""
+
+def bloch_rotation_point(r: float, theta: float) -> FamilyPoint:
+    """rho = (I + r(cos theta sx + sin theta sy))/2, full rank for r < 1; J^S = r^2 and J^R = r^2/(1 - r^2)."""
     if not 0.0 <= r < 1.0:
         raise SpecFileError(f"bloch radius must satisfy 0 <= r < 1, got {r}")
-    return 0.5 * (np.eye(2) + r * (np.cos(theta) * PAULI_X + np.sin(theta) * PAULI_Y))
-
-
-def bloch_rotation_point(r: float, theta: float, step: float | None = None) -> FamilyPoint:
-    """One-parameter rotation family; J^S = r^2 and J^R = r^2/(1 - r^2).
-
-    Analytic tangents, or central differences of the given step.
-    """
-    if step is not None:
-        return finite_difference_tangents(lambda th: bloch_rotation_matrix(r, float(th[0])), [theta], step)
+    rho = 0.5 * (np.eye(2) + r * (np.cos(theta) * PAULI_X + np.sin(theta) * PAULI_Y))
     tangent = 0.5 * r * (-np.sin(theta) * PAULI_X + np.cos(theta) * PAULI_Y)
-    return FamilyPoint([theta], DensityMatrix(bloch_rotation_matrix(r, theta)), [tangent])
+    return FamilyPoint([theta], DensityMatrix(rho), [tangent])
 
 
 def classical_simplex_point(probs, scores, theta=None) -> FamilyPoint:
@@ -56,12 +56,14 @@ def fixed_basis_family(
     v = np.asarray(basis, dtype=complex)
     q = np.asarray(prob_table, dtype=float)
     grid = np.asarray(theta_grid, dtype=float)
-    if q.shape[0] != grid.shape[0]:
-        raise SpecFileError("probability table and theta grid length mismatch")
-    if score_table is None:
+    dq = None if score_table is None else np.asarray(score_table, dtype=float)
+    expected = {"theta_grid": q.shape[:1], "basis": (q.shape[1],) * 2, "score_table": q.shape}
+    for name, table in (("theta_grid", grid), ("basis", v), ("score_table", dq)):
+        if table is not None and table.shape != expected[name]:
+            raise SpecFileError(f"fixed_basis spec: field {name!r} has shape {table.shape}, expected "
+                                f"{expected[name]} for a 'prob_table' of shape {q.shape}")
+    if dq is None:
         dq = np.gradient(q, grid, axis=0)
-    else:
-        dq = np.asarray(score_table, dtype=float)
     dq = dq - dq.sum(axis=1, keepdims=True) / q.shape[1]
     points = []
     for k, th in enumerate(grid):
@@ -74,26 +76,32 @@ def fixed_basis_family(
 def build_family(spec: dict):
     """Build family point(s) from a parsed spec dict (see the file format docs).
 
-    Returns a FamilyPoint, or a list of FamilyPoint for grid kinds.  A
-    missing required field, a field of the wrong type or shape, or a
-    theta of the wrong length raises SpecFileError naming the field.
+    Returns a FamilyPoint, or a list of FamilyPoint for grid kinds.  An unknown
+    kind, a field the kind does not take (see FIELDS), a missing or malformed
+    field, or a theta of the wrong length raises SpecFileError naming the field.
     """
     kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in FIELDS:  # kind may be any JSON value; a list or object is unhashable
+        raise SpecFileError(f"unknown family kind {kind!r}; the kinds are {', '.join(map(repr, FIELDS))}")
+    extra = sorted(set(spec) - {"kind", *FIELDS[kind]})
+    if extra:
+        raise SpecFileError(f"{kind} spec: field {', '.join(map(repr, extra))} does not apply; "
+                            f"{kind} takes {', '.join(map(repr, FIELDS[kind]))}")
 
-    def field(name, dtype=None, ndim=None, default=None):
-        """spec[name], required unless a default is given; with a dtype, a finite array of ndim axes."""
+    def field(name, dtype, ndim=None, default=None):
+        """spec[name] as a finite array of ndim axes of JSON numbers, required unless a default is given."""
         if name not in spec:
             if default is None:
                 raise SpecFileError(f"{kind} spec: missing required field {name!r}")
             return default
-        return spec[name] if dtype is None else checked(name, spec[name], dtype, ndim)
-
-    def checked(name, value, dtype, ndim):
-        """value as a finite array of ndim axes, or SpecFileError naming the field."""
         try:
-            value = np.asarray(value, dtype=dtype)
+            raw = np.asarray(spec[name])
+            value = raw.astype(dtype, copy=False)
         except (TypeError, ValueError, OverflowError) as exc:
             raise SpecFileError(f"{kind} spec: field {name!r}: {exc}") from None
+        # a scalar true/false reads as kind "b"; decoded matrix fields read as "c" and are not searched again
+        if raw.dtype.kind in "USb" or (raw.ndim and raw.dtype.kind in "iuf" and io.has_boolean(spec[name], raw)):
+            raise SpecFileError(f"{kind} spec: field {name!r} must hold numbers, not strings or true/false")
         if ndim is not None and value.ndim != ndim:
             raise SpecFileError(f"{kind} spec: field {name!r} must have {ndim} axes, got {value.ndim}")
         if not np.all(np.isfinite(value)):
@@ -106,29 +114,12 @@ def build_family(spec: dict):
             raise SpecFileError(f"{kind} spec: theta has {th.size} components, expected {m}")
         return th
 
-    if "derivative" in spec and kind != "bloch_rotation":  # every other kind would ignore it
-        raise SpecFileError(f"{kind} spec: field 'derivative' applies only to kind 'bloch_rotation'")
-    if "theta" in spec and kind == "fixed_basis":  # the grid would ignore it
-        raise SpecFileError(f"{kind} spec: field 'theta' does not apply; the grid's points are its 'theta_grid'")
-    deriv = field("derivative", default={"mode": "analytic"})
-    if not isinstance(deriv, dict):
-        raise SpecFileError(f"{kind} spec: field 'derivative' must be an object")
-    mode, step = deriv.get("mode", "analytic"), None
-    if mode == "finite_difference":
-        if "step" not in deriv:
-            raise SpecFileError(f"{kind} spec: finite_difference mode needs field 'derivative.step'")
-        step = float(checked("derivative.step", deriv["step"], float, 0))
-        if step <= 0:
-            raise SpecFileError(f"{kind} spec: field 'derivative.step' must be positive, got {step}")
-    elif mode != "analytic":
-        raise SpecFileError(f"{kind} spec: field 'derivative.mode' must be 'analytic' or 'finite_difference', "
-                            f"got {mode!r}")
     if kind == "explicit":
         rho = DensityMatrix(field("rho", complex, 2))
         tangents = list(field("tangents", complex, 3))
         return FamilyPoint(theta(len(tangents)), rho, tangents)
     if kind == "bloch_rotation":
-        return bloch_rotation_point(float(field("r", float, 0)), float(theta(1)[0]), step)
+        return bloch_rotation_point(float(field("r", float, 0)), float(theta(1)[0]))
     if kind == "classical_simplex":
         scores = np.atleast_2d(field("scores", float))
         return classical_simplex_point(field("probs", float, 1), scores, theta(scores.shape[0]))
@@ -139,12 +130,13 @@ def build_family(spec: dict):
             prob_table, field("theta_grid", float, 1),
             field("score_table", float, 2) if "score_table" in spec else None,
         )
-    if kind == "gaussian":
-        gspec = GaussianSpec(
-            sigma2=float(field("sigma2", float, 0, default=1.0)),
-            hbar=float(field("hbar", float, 0, default=1.0)),
-            truncation=int(field("truncation", int, 0, default=80)),
-            theta=tuple(theta(2).tolist()),
-        )
-        return gaussian_family(gspec)
-    raise SpecFileError(f"unknown family kind {kind!r}")
+    truncation = float(field("truncation", float, 0, default=80))  # the one kind left: gaussian
+    if not truncation.is_integer():
+        raise SpecFileError(f"{kind} spec: field 'truncation' must be an integer, got {truncation}")
+    gspec = GaussianSpec(
+        sigma2=float(field("sigma2", float, 0, default=1.0)),
+        hbar=float(field("hbar", float, 0, default=1.0)),
+        truncation=int(truncation),
+        theta=tuple(theta(2).tolist()),
+    )
+    return gaussian_family(gspec)

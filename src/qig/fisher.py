@@ -175,9 +175,3 @@ def classical_fisher(point: ClassicalFamilyPoint) -> QFisherMatrix:
     j = sl @ s.swapaxes(-1, -2)
     return QFisherMatrix(point.m, j, np.zeros_like(j), "classical")
 
-
-def finite_difference_tangents(evaluator, theta, step: float) -> FamilyPoint:
-    """FamilyPoint by central differences of a theta -> rho_theta matrix evaluator; decomposes the centre only."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    tangents = [(evaluator(theta + h) - evaluator(theta - h)) / (2.0 * step) for h in step * np.eye(len(theta))]
-    return FamilyPoint(theta, DensityMatrix(evaluator(theta)), tangents)  # FamilyPoint takes their Hermitian parts

@@ -41,6 +41,12 @@ def decode_entry(e) -> complex:
     raise SpecFileError(f"cannot decode matrix entry {e!r}: expected number or [re, im]")
 
 
+def has_boolean(obj, arr) -> bool:
+    """Whether obj, read by numpy as arr, holds a JSON true/false; read as 1/0, only entries 0 and 1 are looked up."""
+    hits = np.unravel_index(np.flatnonzero((arr == 0) | (arr == 1)), arr.shape)
+    return any(type(reduce(getitem, i, obj)) is bool for i in zip(*(h.tolist() for h in hits)))
+
+
 def decode_matrix(obj) -> np.ndarray:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise SpecFileError(f"cannot decode matrix: expected a list of rows, got {type(obj).__name__}")
@@ -49,10 +55,7 @@ def decode_matrix(obj) -> np.ndarray:
         fast = arr.dtype.kind in "iuf" and (arr.ndim == 2 or arr.shape[2:] == (2,))
     except ValueError:  # ragged rows, or numbers mixed with pairs
         fast = False
-    if fast:  # numpy reads true/false as 1/0, so only the entries equal to 0 or 1 can be booleans
-        hits = np.unravel_index(np.flatnonzero((arr == 0) | (arr == 1)), arr.shape)
-        fast = not any(type(reduce(getitem, i, obj)) is bool for i in zip(*(h.tolist() for h in hits)))
-    if fast:
+    if fast and not has_boolean(obj, arr):
         mat = arr.astype(complex) if arr.ndim == 2 else np.asarray(arr, dtype=float).view(complex)[..., 0]
     else:  # per entry, so a bad entry is named
         mat = np.array([[decode_entry(e) for e in row] for row in obj])

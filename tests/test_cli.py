@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from qig import cli, divergence, fisher, harness, io, linalg, reverse
 from qig.errors import SpecFileError
+from qig.families import FIELDS
 from qig.harness import SuiteReport
 from qig.reverse import ORACLE_GAP_TOL
 
@@ -588,31 +590,49 @@ class TestSpecErrors:
         cmd = "global" if spec["kind"] == "fixed_basis" else "fisher"
         self._fails([cmd, "--family", path], capsys, spec["kind"], f"field {name!r}", "cannot decode matrix")
 
-    @pytest.mark.parametrize("step", ["x", 0.0, [1e-4]])
-    def test_bad_derivative_step_named(self, step, tmp_path, capsys):
-        spec = write_json(tmp_path / "b.json", {
-            "kind": "bloch_rotation", "r": 0.5, "derivative": {"mode": "finite_difference", "step": step},
-        })
-        self._fails(["fisher", "--family", spec], capsys, "bloch_rotation", "'derivative.step'")
+    @pytest.mark.parametrize("cmd, spec, typo", [
+        ("fisher", {"kind": "explicit", "rho": [[0.9, 0.0], [0.0, 0.1]], "tangents": [[[0.0, 0.5], [0.5, 0.0]]]},
+         {"tangent": [[[0.0, 0.5], [0.5, 0.0]]]}),
+        ("fisher", {"kind": "bloch_rotation", "r": 0.8}, {"thetta": [1.0]}),
+        ("fisher", {"kind": "classical_simplex", "probs": [0.4, 0.6], "scores": [[1.0, -1.0]]}, {"prob": [0.5, 0.5]}),
+        ("global", {"kind": "fixed_basis", "prob_table": [[0.3, 0.7], [0.6, 0.4]], "theta_grid": [0.0, 1.0]},
+         {"scores_table": [[0.3, -0.3], [0.3, -0.3]]}),
+        ("bound", {"kind": "gaussian", "truncation": 20}, {"sigam2": 0.25}),
+    ], ids=lambda v: v if isinstance(v, str) else v.get("kind", next(iter(v))))
+    @pytest.mark.parametrize("extra", ["typo", "derivative"])
+    def test_unknown_field_refused(self, cmd, spec, typo, extra, tmp_path, capsys):
+        # a field the kind does not take would be ignored: a typo falls back to a default, derivative to nothing
+        added = typo if extra == "typo" else {"derivative": {"mode": "analytic"}}
+        path = write_json(tmp_path / "s.json", {**spec, **added})
+        self._fails([cmd, "--family", path], capsys, spec["kind"], *map(repr, added), *map(repr, FIELDS[spec["kind"]]))
 
-    @pytest.mark.parametrize("deriv, name", [
-        ({"mode": "finite_difference"}, "'derivative.step'"),
-        ({"mode": "finite_diference", "step": 0.3}, "'derivative.mode'"),
-    ])
-    def test_derivative_never_falls_back_to_analytic(self, deriv, name, tmp_path, capsys):
-        spec = write_json(tmp_path / "b.json", {"kind": "bloch_rotation", "r": 0.5, "theta": [0.3], "derivative": deriv})
-        self._fails(["fisher", "--family", spec], capsys, "bloch_rotation", name)
+    @pytest.mark.parametrize("cmd, spec, name", [
+        ("bound", {"kind": "gaussian", "sigma2": True}, "sigma2"),
+        ("fisher", {"kind": "bloch_rotation", "r": 0.8, "theta": [True]}, "theta"),
+        ("fisher", {"kind": "classical_simplex", "probs": [0.4, 0.6], "scores": [[True, -1]]}, "scores"),
+        ("bound", {"kind": "gaussian", "truncation": 40.7}, "truncation"),
+        ("bound", {"kind": "gaussian", "truncation": "40"}, "truncation"),
+        ("fisher", {"kind": "bloch_rotation", "r": "0.5"}, "r"),
+    ], ids=["sigma2-true", "theta-true", "scores-true", "truncation-40.7", "truncation-string", "r-string"])
+    def test_non_number_field_named(self, cmd, spec, name, tmp_path, capsys):
+        # true is not 1, "0.5" is not 0.5 and 40.7 levels are not 40: each would run on a value the file does not hold
+        path = write_json(tmp_path / "s.json", spec)
+        self._fails([cmd, "--family", path], capsys, spec["kind"], repr(name))
 
-    @pytest.mark.parametrize("cmd, spec", [
-        ("fisher", {"kind": "explicit", "rho": [[0.9, 0.0], [0.0, 0.1]], "tangents": [[[0.0, 0.5], [0.5, 0.0]]]}),
-        ("bound", {"kind": "gaussian", "truncation": 20}),
-        ("fisher", {"kind": "classical_simplex", "probs": [0.4, 0.6], "scores": [[1.0, -1.0]]}),
-        ("global", {"kind": "fixed_basis", "prob_table": [[0.3, 0.7], [0.6, 0.4]], "theta_grid": [0.0, 1.0]}),
-    ])
-    @pytest.mark.parametrize("deriv", [{"mode": "finite_difference", "step": 0.5}, {"mode": "analytic"}])
-    def test_derivative_refused_where_ignored(self, cmd, spec, deriv, tmp_path, capsys):
-        path = write_json(tmp_path / "s.json", {**spec, "derivative": deriv})
-        self._fails([cmd, "--family", path], capsys, spec["kind"], "'derivative'", "bloch_rotation")
+    def test_theta_option_not_a_number(self, bloch_spec, capsys):
+        self._fails(["fisher", "--family", bloch_spec, "--theta", "x"], capsys, "--theta", "'x'")
+
+    @pytest.mark.parametrize("name, value", [
+        ("score_table", [[0.1, -0.1]] * 2),
+        ("score_table", [[0.1, -0.1]] * 4),
+        ("score_table", [[0.1, -0.1, 0.0]] * 3),
+        ("basis", np.eye(3).tolist()),
+        ("theta_grid", [0.0, 1.0]),
+    ], ids=["score-rows-2", "score-rows-4", "score-cols-3", "basis-3x3", "grid-2"])
+    def test_fixed_basis_table_shape_named(self, name, value, grid_spec, tmp_path, capsys):
+        # a 3-point grid with 2 outcomes: every table follows prob_table's shape (3, 2)
+        spec = write_json(tmp_path / "s.json", {**json.loads(Path(grid_spec).read_text()), name: value})
+        self._fails(["global", "--family", spec], capsys, "fixed_basis", repr(name), "(3, 2)")
 
     @pytest.mark.parametrize("obj", [5, None, ["kind"]])
     def test_non_object_spec_refused(self, obj, tmp_path, capsys):
@@ -664,6 +684,17 @@ class TestSpecErrors:
         assert np.all(np.diag(km) >= np.diag(np.array(res["sld_fisher"]["real_part"])) - 1e-12)
 
 
+def test_readme_lists_each_kind_with_its_fields():
+    """The README's family-spec bullets are the kinds of FIELDS; each names its kind's fields in backticks."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text[text.index("A family spec has a `kind`"):]
+    section = section[:section.index("\n\n", section.index("\n- "))]
+    bullets = dict(re.findall(r"^- `(\w+)` — (.*?)(?=^- |\Z)", section, re.M | re.S))
+    assert bullets.keys() == FIELDS.keys()
+    for kind, fields in FIELDS.items():
+        assert [f for f in fields if f"`{f}`" not in bullets[kind]] == [], kind
+
+
 class TestSpecFuzz:
     """Seeded mutations of valid specs: every command exits 0, 1 or 2, never with a traceback."""
 
@@ -674,13 +705,13 @@ class TestSpecFuzz:
             "tangents": [[[0.5, [0.0, 0.2]], [[0.0, -0.2], -0.5]]],
             "theta": [0.0],
         },
-        {"kind": "bloch_rotation", "r": 0.6, "theta": [0.2],
-         "derivative": {"mode": "finite_difference", "step": 1e-4}},
+        {"kind": "bloch_rotation", "r": 0.6, "theta": [0.2]},
         {
             "kind": "fixed_basis",
             "basis": [[0.6, 0.8], [0.8, -0.6]],
             "prob_table": [[0.3, 0.7], [0.5, 0.5], [0.6, 0.4]],
             "theta_grid": [0.0, 0.5, 1.0],
+            "score_table": [[0.4, -0.4], [0.3, -0.3], [0.1, -0.1]],
         },
     ]
     BAD_ENTRIES = ["x", None, [1.0, 2.0, 3.0], [[0.5]], 10**400]

@@ -4,8 +4,8 @@ The RLD divergence against a 50-digit mpmath evaluation; the two-point
 estimate, the optimal local reverse estimate and the global reverse
 estimate against the canonical whitened-matrix formulas they replace;
 stacks against per-member calls; the cached eigenbasis tangents and the
-once-per-point RLD existence check; how many decompositions the SLD and
-the finite differences make.
+once-per-point RLD existence check; how many decompositions the SLD,
+the complementarity suite and the optimal SLD measurement make.
 """
 
 import math
@@ -19,7 +19,7 @@ from qig import fisher, linalg
 from qig.channels import optimal_sld_povm, random_family_point, random_unitary
 from qig.divergence import rld_divergence, two_point_reverse_estimate
 from qig.errors import RldExistenceError
-from qig.families import bloch_rotation_point, fixed_basis_family
+from qig.families import fixed_basis_family
 from qig.fisher import km_fisher, rld_fisher, sld, sld_fisher
 from qig.linalg import RANK_TOL, frob, support_leak
 from qig.harness import complementarity_suite
@@ -284,7 +284,7 @@ def decompositions(monkeypatch):
 
 
 class TestDecompositionCounts:
-    """Each state is decomposed once, when it is built; the SLD and finite differences reuse that spectrum."""
+    """Each state is decomposed once, when it is built; the SLD and its lifts reuse that spectrum."""
 
     def test_sld_and_lift_decompose_nothing_more(self, decompositions):
         point = random_family_point(5, 1, seed=6)
@@ -300,10 +300,6 @@ class TestDecompositionCounts:
     def test_optimal_sld_povm_decomposes_l_only(self, decompositions):
         point = random_family_point(5, 1, seed=7)
         assert decompositions(lambda: optimal_sld_povm(point)) == (0, 1)
-
-    @pytest.mark.parametrize("build", [lambda: bloch_rotation_point(0.8, 0.3, 1e-5)], ids=["bloch"])
-    def test_finite_differences_decompose_the_centre_only(self, decompositions, build):
-        assert decompositions(build) == (1, 1)
 
 
 # --- support_leak on a full support -------------------------------------------

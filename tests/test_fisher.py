@@ -10,14 +10,12 @@ from qig.families import (
     PAULI_Y,
     PAULI_Z,
     bloch_rotation_point,
-    bloch_rotation_matrix,
     classical_simplex_point,
 )
 from qig.fisher import (
     ClassicalFamilyPoint,
     QFisherMatrix,
     classical_fisher,
-    finite_difference_tangents,
     km_fisher,
     rld,
     rld_fisher,
@@ -266,15 +264,6 @@ class TestImagPart:
             imag = rld_fisher(pt).imag_part
             assert frob(imag - t.imag) <= 1e-12 * max(1.0, frob(imag))
             assert (frob(imag) <= 1e-12) == (pt is commuting)
-
-
-class TestFiniteDifference:
-    def test_matches_analytic_bloch(self):
-        fd = finite_difference_tangents(
-            lambda th: bloch_rotation_matrix(0.8, float(th[0])), [0.3], 1e-5
-        )
-        analytic = bloch_rotation_point(0.8, 0.3)
-        assert frob(fd.tangents[0] - analytic.tangents[0]) <= 1e-7
 
 
 @settings(max_examples=40, deadline=None)
