@@ -8,7 +8,7 @@ divergences), bound (multiparameter reverse/estimation bounds),
 gaussian (truncated Gaussian example).
 
 Each subcommand prints its human-readable table to stdout (6 significant
-digits) and returns (primary input, spec echo, results, passed); ``main``
+digits) and returns (primary input, parsed input, results, passed); ``main``
 writes the full-precision report to --out, to a sidecar ``*.report.json``
 next to the primary input file, or to ``qig_<cmd>.report.json``, and
 exits 0 if passed, 2 if not, 1 on an input error.
@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, io
 from .divergence import rld_divergence, rld_divergence_integral, two_point_reverse_estimate, umegaki
 from .errors import NotReverseEstimableError, QigError, SpecFileError
-from .families import build_family
+from .families import FIELDS, build_family
 from .fisher import km_fisher, rld_fisher, sld_fisher
 from .harness import (
     GaussianSpec,
@@ -66,25 +66,17 @@ def _print_matrix(name, mat):
         print("    " + "  ".join(f"{c:>16s}" for c in cells))
 
 
-def _write_report(path: Path, command, seed, spec_echo, results) -> None:
-    echo, digest = io.canonical_json(spec_echo)
-    doc = {
-        "command": command,
-        "version": __version__,
-        "seed": seed,
-        "spec_echo": None,
-        "input_digest": digest,
-        "results": io._jsonable(results),
-    }
-    # the echo is serialized once, in canonical form: hashed above, embedded here
-    text = json.dumps(doc, indent=2).replace('"spec_echo": null', f'"spec_echo": {echo}', 1)
-    path.write_text(text + "\n", encoding="utf-8")
+def _write_report(path: Path, command, seed, spec, results) -> None:
+    echo = io._jsonable(spec, io.summary)  # each matrix as its summary
+    doc = {"command": command, "version": __version__, "seed": seed, "spec_echo": echo,
+           "input_digest": io.spec_digest(echo), "results": io._jsonable(results)}
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     print(f"report written to {path}")
 
 
 def _load_family(args, grid: bool = False):
     """(spec, family) of --family; refuses a grid kind where one point is needed, and vice versa."""
-    spec = io.load_family_spec(args.family)
+    spec = io.load_family_spec(args.family, FIELDS)
     if args.theta:
         try:
             spec["theta"] = [float(v) for v in args.theta.split(",")]
@@ -203,8 +195,8 @@ def _print_checks(checks) -> bool:
 
 
 def _cmd_divergence(args):
-    rho = DensityMatrix(io.load_matrix(args.rho, "rho"))
-    sigma = DensityMatrix(io.load_matrix(args.sigma, "rho"))
+    mats = {"rho": io.load_matrix(args.rho, "rho"), "sigma": io.load_matrix(args.sigma, "rho")}
+    rho, sigma = DensityMatrix(mats["rho"]), DensityMatrix(mats["sigma"])
     du = umegaki(rho, sigma)
     dr = rld_divergence(rho, sigma)
     di = rld_divergence_integral(rho, sigma, args.steps)
@@ -227,7 +219,7 @@ def _cmd_divergence(args):
         "steps": args.steps, "evaluations": args.steps + 1, "two_point_kl": tkl, "checks": checks,
         "tolerances": {c["name"]: c["tolerance"] for c in checks},
     }
-    return args.rho, {"rho": rho.mat, "sigma": sigma.mat}, results, passed
+    return args.rho, mats, results, passed
 
 
 def _cmd_bound(args):
@@ -331,9 +323,9 @@ def main(argv=None) -> int:
     command = sys.argv[1:] if argv is None else list(argv)
     args = _PARSER.parse_args(command)
     try:
-        primary, spec_echo, results, passed = _DISPATCH[args.cmd](args)
+        primary, spec, results, passed = _DISPATCH[args.cmd](args)
         default = Path(primary).with_suffix(".report.json") if primary else f"qig_{args.cmd}.report.json"
-        _write_report(Path(args.out or default), command, args.seed, spec_echo, results)
+        _write_report(Path(args.out or default), command, args.seed, spec, results)
     except (QigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

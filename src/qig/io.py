@@ -76,13 +76,14 @@ def suite_report_to_json(rep) -> dict:
     return _jsonable(dataclasses.asdict(rep))
 
 
-def _jsonable(obj):
+def _jsonable(obj, matrix=encode_matrix):
+    """obj with plain JSON types; each array becomes matrix(array)."""
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        return {k: _jsonable(v, matrix) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [_jsonable(v, matrix) for v in obj]
     if isinstance(obj, np.ndarray):
-        return encode_matrix(obj)
+        return matrix(obj)
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, complex):
@@ -98,26 +99,27 @@ def load_json(path) -> dict:
         raise SpecFileError(f"cannot read {path}: {exc}") from exc
 
 
-def load_family_spec(path) -> dict:
-    """Load and decode a family spec file; matrix fields become arrays."""
+def load_family_spec(path, fields) -> dict:
+    """Load a family spec file; the matrix fields its kind takes, fields[kind], become arrays, the others stay as read."""
     spec = load_json(path)
     if not isinstance(spec, dict):
         raise SpecFileError(f"{path}: expected a JSON object, got {type(spec).__name__}")
     if "kind" not in spec:
         raise SpecFileError(f"{path}: missing required field 'kind'")
     out = dict(spec)
+    kind = out["kind"]
+    takes = fields.get(kind, ()) if isinstance(kind, str) else ()  # an unknown kind is refused in build_family
 
     def field(name, obj):
         try:
             return decode_matrix(obj)
         except SpecFileError as exc:  # name the field, not just the entry
-            raise SpecFileError(f"{out['kind']} spec: field {name!r}: {exc}") from None
-    if "rho" in out:
-        out["rho"] = field("rho", out["rho"])
-    if isinstance(out.get("tangents"), list):  # anything else is refused by name in build_family
+            raise SpecFileError(f"{kind} spec: field {name!r}: {exc}") from None
+    for name in ("rho", "basis"):
+        if name in takes and name in out:
+            out[name] = field(name, out[name])
+    if "tangents" in takes and isinstance(out.get("tangents"), list):  # anything else is refused by name in build_family
         out["tangents"] = [field(f"tangents[{k}]", t) for k, t in enumerate(out["tangents"])]
-    if "basis" in out:
-        out["basis"] = field("basis", out["basis"])
     return out
 
 
@@ -127,12 +129,15 @@ def load_matrix(path, key) -> np.ndarray:
     return decode_matrix(obj[key] if isinstance(obj, dict) and key in obj else obj)
 
 
-def canonical_json(spec) -> tuple[str, str]:
-    """(canonical JSON text, its SHA-256): keys sorted, no whitespace; stable under re-parse."""
-    text = json.dumps(_jsonable(spec), sort_keys=True, separators=(",", ":"))
-    return text, hashlib.sha256(text.encode()).hexdigest()
+def summary(mat) -> dict:
+    """How a report echoes an input matrix: its shape, and the SHA-256 and Frobenius norm of its complex128 bytes."""
+    data = np.ascontiguousarray(mat, dtype="<c16")
+    return {"shape": list(data.shape), "sha256": hashlib.sha256(data).hexdigest(),
+            "frobenius": float(np.linalg.norm(data))}
 
 
-def spec_digest(spec) -> str:
-    """Digest of the canonical JSON encoding (the report's input_digest)."""
-    return canonical_json(spec)[1]
+def spec_digest(echo) -> str:
+    """The report's input_digest: SHA-256 of a spec echo's JSON, keys sorted, no whitespace, summaries without
+    their norms, whose last bits depend on the BLAS build."""
+    unnormed = json.loads(json.dumps(echo), object_hook=lambda d: {k: v for k, v in d.items() if k != "frobenius"})
+    return hashlib.sha256(json.dumps(unnormed, sort_keys=True, separators=(",", ":")).encode()).hexdigest()

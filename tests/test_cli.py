@@ -80,25 +80,65 @@ class TestFisherCommand:
         assert "tolerances" in doc["results"]
         assert doc["version"]
 
+    @staticmethod
+    def _report(argv, tmp_path, name="report.json"):
+        out = tmp_path / name
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        return json.loads(out.read_text())
+
     def test_spec_digest_roundtrip(self, explicit_spec, tmp_path):
-        out = tmp_path / "report.json"
-        assert cli.main(["fisher", "--family", explicit_spec, "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        echo_file = tmp_path / "echo.json"
-        echo_file.write_text(json.dumps(doc["spec_echo"]))
-        reparsed = io.load_family_spec(str(echo_file))
-        assert io.spec_digest(reparsed) == doc["input_digest"]
+        doc = self._report(["fisher", "--family", explicit_spec], tmp_path)
+        assert io.spec_digest(doc["spec_echo"]) == doc["input_digest"]
+        again = self._report(doc["command"][:doc["command"].index("--out")], tmp_path, "again.json")
+        assert again["input_digest"] == doc["input_digest"]
 
     @pytest.mark.parametrize("spec, digest", [
-        ("explicit_spec", "0588e216ae7bf540f73cf2a8fa43ab31580a68d83d989c842486ec027dbb523d"),
-        ("complex16_spec", "cdbb48a6fc9e43d2fe124f7f6b44ff8f3a180dab51f4073934bda74fbdbbdcfc"),
+        ("explicit_spec", "7fc47b872db800087900d0a8f1f127c4bcaa9991a81d0c610bf5f224d1969068"),
+        ("complex16_spec", "7d1e8f951dfe7a9479864c9dc19ce4916ba2c856a3680eee01296cfb31cc7f65"),
     ])
     def test_input_digest_pinned(self, spec, digest, tmp_path, request):
-        out = tmp_path / "report.json"
-        assert cli.main(["fisher", "--family", request.getfixturevalue(spec), "--out", str(out)]) == 0
-        doc = json.loads(out.read_text())
+        doc = self._report(["fisher", "--family", request.getfixturevalue(spec)], tmp_path)
         assert doc["input_digest"] == digest
         assert io.spec_digest(doc["spec_echo"]) == digest
+
+    def test_digest_ignores_layout_and_key_order(self, complex16_spec, tmp_path):
+        spec = json.loads(Path(complex16_spec).read_text())
+        shuffled = tmp_path / "shuffled.json"
+        shuffled.write_text(json.dumps(dict(reversed(list(spec.items()))), indent=5), encoding="utf-8")
+        digests = [self._report(["fisher", "--family", path], tmp_path)["input_digest"]
+                   for path in (complex16_spec, str(shuffled))]
+        assert digests[0] == digests[1]
+
+    def test_digest_pins_each_entry(self, complex16_spec, tmp_path):
+        edited = json.loads(Path(complex16_spec).read_text())
+        edited["rho"][3][3][0] += 1e-15  # one diagonal entry, by a few ulp: still a state
+        path = write_json(tmp_path / "edited.json", edited)
+        docs = [self._report(["fisher", "--family", p], tmp_path) for p in (complex16_spec, path)]
+        assert docs[0]["spec_echo"]["tangents"] == docs[1]["spec_echo"]["tangents"]
+        assert docs[0]["spec_echo"]["rho"]["sha256"] != docs[1]["spec_echo"]["rho"]["sha256"]
+        assert docs[0]["input_digest"] != docs[1]["input_digest"]
+
+    def test_matrices_echoed_as_summaries(self, complex16_spec, tmp_path):
+        doc = self._report(["fisher", "--family", complex16_spec], tmp_path)
+        rho = io.decode_matrix(json.loads(Path(complex16_spec).read_text())["rho"])
+        assert doc["spec_echo"]["rho"] == io.summary(rho)
+        assert doc["spec_echo"]["rho"]["shape"] == [16, 16]
+        assert doc["spec_echo"]["rho"]["frobenius"] == pytest.approx(np.linalg.norm(rho), rel=1e-14)
+        assert [t["shape"] for t in doc["spec_echo"]["tangents"]] == [[16, 16]]
+
+    def test_reports_of_a_d256_spec_stay_small(self, tmp_path):
+        rng = np.random.default_rng(256)
+        g = rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256))
+        rho = g @ g.conj().T + 256 * np.eye(256)
+        x = g + g.conj().T
+        spec = write_json(tmp_path / "d256.json", {
+            "kind": "explicit", "rho": io.encode_matrix(rho / np.trace(rho).real),
+            "tangents": [io.encode_matrix(x - np.trace(x) / 256 * np.eye(256))], "theta": [0.0],
+        })
+        for cmd in ("fisher", "reverse"):
+            out = tmp_path / f"{cmd}.json"
+            assert cli.main([cmd, "--family", spec, "--out", str(out)]) == 0
+            assert out.stat().st_size <= 20_000, cmd
 
     def test_determinism(self, bloch_spec, tmp_path):
         outs = []
@@ -174,6 +214,16 @@ class TestDivergenceCommand:
         for c in res["checks"]:
             assert c["passed"] and c["margin"] == c["tolerance"] - c["value"] >= 0
             assert c["tolerance"] == res["tolerances"][c["name"]]
+
+    def test_states_echoed_as_summaries(self, qubit_pair, tmp_path):
+        rho, sigma = qubit_pair
+        out = tmp_path / "d.json"
+        assert cli.main(["divergence", "--rho", rho, "--sigma", sigma, "--steps", "50", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["spec_echo"] == {"rho": io.summary(io.load_matrix(rho, "rho")),
+                                    "sigma": io.summary(io.load_matrix(sigma, "rho"))}
+        assert set(doc["spec_echo"]["rho"]) == {"shape", "sha256", "frobenius"}
+        assert doc["input_digest"] == io.spec_digest(doc["spec_echo"])
 
     @pytest.mark.parametrize("steps", ["0", "-3"])
     def test_steps_below_one_is_input_error(self, qubit_pair, capsys, steps):
@@ -605,6 +655,14 @@ class TestSpecErrors:
         added = typo if extra == "typo" else {"derivative": {"mode": "analytic"}}
         path = write_json(tmp_path / "s.json", {**spec, **added})
         self._fails([cmd, "--family", path], capsys, spec["kind"], *map(repr, added), *map(repr, FIELDS[spec["kind"]]))
+
+    @pytest.mark.parametrize("name, value", [
+        ("rho", "x"), ("rho", [[0.5, 0.0], [0.0, 0.5]]), ("tangents", [[["x"]]]), ("basis", [[1, 0], [0, None]]),
+    ])
+    def test_matrix_field_refused_before_decoding(self, name, value, tmp_path, capsys):
+        # a matrix field the kind does not take is refused by name whether or not it decodes
+        path = write_json(tmp_path / "s.json", {"kind": "bloch_rotation", "r": 0.5, name: value})
+        self._fails(["fisher", "--family", path], capsys, f"field {name!r} does not apply")
 
     @pytest.mark.parametrize("cmd, spec, name", [
         ("bound", {"kind": "gaussian", "sigma2": True}, "sigma2"),
