@@ -197,10 +197,6 @@ def random_density(dim: int, seed=0) -> DensityMatrix:
     return density_from(ginibre(as_rng(seed), 1, dim)[0])
 
 
-def random_hermitian_traceless(dim: int, seed=0) -> np.ndarray:
-    return traceless_from(ginibre(as_rng(seed), 1, dim)[0])
-
-
 def random_family_point(dim: int, m: int = 1, seed=0) -> FamilyPoint:
     return family_point_from(ginibre(as_rng(seed), 1 + m, dim))
 

@@ -1,7 +1,10 @@
 import copy
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,15 @@ from qig.reverse import ORACLE_GAP_TOL
 def write_json(path, obj):
     path.write_text(json.dumps(obj), encoding="utf-8")
     return str(path)
+
+
+def block(stdout, key):
+    """The stdout lines of the top-level result `key`: the line it starts and the indented lines below it; [] if
+    no line starts with it."""
+    lines = stdout.splitlines()
+    start = next((i for i, line in enumerate(lines) if line.startswith(f"{key}:")), len(lines))
+    end = next((i for i in range(start + 1, len(lines)) if not lines[i].startswith(" ")), len(lines))
+    return lines[start:end]
 
 
 @pytest.fixture
@@ -59,6 +71,22 @@ def grid_spec(tmp_path):
         "prob_table": np.stack([grid, 1 - grid], axis=1).tolist(),
         "theta_grid": grid.tolist(),
     })
+
+
+@pytest.fixture
+def twopar_spec(tmp_path):
+    return write_json(
+        tmp_path / "twopar.json",
+        {
+            "kind": "explicit",
+            "rho": [[0.6, 0.0], [0.0, 0.4]],
+            "tangents": [
+                [[0.0, 0.25], [0.25, 0.0]],
+                [[0.0, [0.0, -0.25]], [[0.0, 0.25], 0.0]],
+            ],
+            "theta": [0.0, 0.0],
+        },
+    )
 
 
 @pytest.fixture
@@ -275,21 +303,6 @@ class TestDivergenceCommand:
 
 
 class TestBoundAndGaussian:
-    @pytest.fixture
-    def twopar_spec(self, tmp_path):
-        return write_json(
-            tmp_path / "twopar.json",
-            {
-                "kind": "explicit",
-                "rho": [[0.6, 0.0], [0.0, 0.4]],
-                "tangents": [
-                    [[0.0, 0.25], [0.25, 0.0]],
-                    [[0.0, [0.0, -0.25]], [[0.0, 0.25], 0.0]],
-                ],
-                "theta": [0.0, 0.0],
-            },
-        )
-
     def test_bound_oracle_agreement(self, twopar_spec, tmp_path):
         out = tmp_path / "b.json"
         assert cli.main(["bound", "--family", twopar_spec, "--out", str(out)]) == 0
@@ -444,7 +457,9 @@ class TestExitCodesAndSeeds:
         monkeypatch.setattr(harness, "umegaki", lambda rho, sigma: np.full(len(rho.mat), np.nan))
         monkeypatch.chdir(tmp_path)
         assert cli.main(["monotone", "--trials", "5"]) == 2
-        assert "pass False" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "  passed: false" in block(out, "divergence_suite")
+        assert "  passed: true" in block(out, "metric_suite")
 
     def test_suite_violation_exit_2(self, tmp_path, monkeypatch):
         failing = SuiteReport("monotone_metric", 0, 1, {}, [(0, "check", -1.0)], False)
@@ -462,7 +477,9 @@ class TestExitCodesAndSeeds:
         monkeypatch.setattr(cli, "complementarity_suite", lambda *a, **k: failing)
         monkeypatch.chdir(tmp_path)
         assert cli.main(["monotone", "--trials", "1"]) == 2
-        assert "suite complementarity: trials 1  pass False" in capsys.readouterr().out
+        lines = block(capsys.readouterr().out, "complementarity_suite")
+        assert {"  suite: complementarity", "  trials: 1", "  passed: false"} <= set(lines)
+        assert "  violations: [[0, rld_equals_ancilla_sld, -1]]" in lines
 
     def test_monotone_reports_complementarity_suite(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -580,6 +597,73 @@ class TestExitCodesAndSeeds:
         assert cli.main(argv) == 0
         assert json.loads(out.read_text())["command"] == argv
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bloch.json", "rho.json", "sigma.json", "sub"]
+
+
+class TestStdout:
+    """stdout renders the written report's results: each top-level name starts a line, each check prints its name,
+    verdict and margin on one line, each suite its verdict in its own block."""
+
+    @pytest.mark.parametrize("cmd", ["fisher", "reverse", "global", "monotone", "divergence", "bound", "gaussian"])
+    def test_stdout_shows_the_report(self, cmd, bloch_spec, grid_spec, qubit_pair, twopar_spec, tmp_path,
+                                     monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "r.json"
+        argv = {
+            "fisher": ["--family", bloch_spec],
+            "reverse": ["--family", bloch_spec],
+            "global": ["--family", grid_spec],
+            "monotone": ["--trials", "2", "--dims", "2"],
+            "divergence": ["--rho", qubit_pair[0], "--sigma", qubit_pair[1], "--steps", "50"],
+            "bound": ["--family", twopar_spec],
+            "gaussian": ["--truncation", "40"],
+        }[cmd]
+        assert cli.main([cmd, *argv, "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        results = json.loads(out.read_text())["results"]
+        assert [key for key in results if not block(stdout, key)] == []
+        for check in results.get("checks", []):
+            (line,) = [line for line in stdout.splitlines() if f"name: {check['name']} " in line]
+            margin = "null" if check["margin"] is None else f"{check['margin']:.6g}"
+            assert f"passed: {json.dumps(check['passed'])}" in line and f"margin: {margin}" in line
+        for key, value in results.items():
+            if isinstance(value, dict) and "passed" in value:
+                assert f"  passed: {json.dumps(value['passed'])}" in block(stdout, key)
+
+    def test_long_lists_print_their_shape(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        g = rng.normal(size=(20, 20))
+        rho, x = g @ g.T, g + g.T
+        rho, x = rho / np.trace(rho), x - np.trace(x) / 20 * np.eye(20)
+        spec = write_json(tmp_path / "d20.json", {"kind": "explicit", "rho": rho.tolist(), "tangents": [x.tolist()]})
+        assert cli.main(["reverse", "--family", spec, "--out", str(tmp_path / "r.json")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        res = json.loads((tmp_path / "r.json").read_text())["results"]
+        assert len(res["weights"]) > cli.LIST_CUT
+        assert f"weights: list of shape [{len(res['weights'])}]" in lines
+        assert max(map(len, lines)) < 200
+
+
+class TestEntryPoint:
+    """`python -m qig.cli` as its own process: the sys.argv path and the __main__ guard."""
+
+    def _run(self, *argv):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        return subprocess.run([sys.executable, "-m", "qig.cli", *argv], env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    def test_report_and_input_error(self, bloch_spec, tmp_path):
+        out = tmp_path / "r.json"
+        argv = ["fisher", "--family", bloch_spec, "--out", str(out)]
+        run = self._run(*argv)
+        assert run.returncode == 0 and run.stderr == ""
+        doc = json.loads(out.read_text())
+        assert doc["command"] == argv
+        assert [key for key in doc["results"] if not block(run.stdout, key)] == []
+        missing = str(tmp_path / "absent.json")
+        run = self._run("fisher", "--family", missing)
+        assert run.returncode == 1 and run.stdout == ""
+        assert run.stderr.startswith("error: ") and missing in run.stderr
 
 
 class TestSpecErrors:

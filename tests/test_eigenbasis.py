@@ -52,13 +52,21 @@ def _mp_func(m, fn):
 
 
 def rld_divergence_ref(rho, sigma):
-    """Tr rho log(rho^(1/2) sigma^+ rho^(1/2)) at 50 digits, from the same float64 matrices."""
+    """Tr rho log(rho^(1/2) sigma^+ rho^(1/2)) at 50 digits, from the same float64 matrices.
+
+    Only rho's and sigma's own spectra are cut: the log takes every eigenvalue of the middle
+    matrix restricted to supp rho, however widely they spread.
+    """
     with mpmath.workdps(50):
         r, s = _mp(rho), _mp(sigma)
-        rh = _mp_func(r, mpmath.sqrt)
-        t = rh * _mp_func(s, lambda v: 1 / v) * rh
-        lt = _mp_func((t + t.transpose_conj()) / 2, mpmath.log)
-        return float(mpmath.re(sum((r * lt)[i, i] for i in range(r.rows))))
+        e, q = mpmath.eighe(r)
+        top = max(e[i] for i in range(r.rows))
+        sup = [i for i in range(r.rows) if e[i] >= RANK_TOL * top]
+        qs = mpmath.matrix([[q[i, j] * mpmath.sqrt(e[j]) for j in sup] for i in range(r.rows)])
+        t = qs.transpose_conj() * _mp_func(s, lambda v: 1 / v) * qs
+        f, w = mpmath.eighe((t + t.transpose_conj()) / 2)
+        lt = w * mpmath.diag([mpmath.log(v) for v in f]) * w.transpose_conj()
+        return float(mpmath.re(sum(e[j] * lt[a, a] for a, j in enumerate(sup))))
 
 
 EPS = np.finfo(float).eps
@@ -102,6 +110,18 @@ class TestRldDivergenceReference:
         kappa_s = 10 ** rng.uniform(2, 6)
         sigma = DensityMatrix(state(u @ v, geometric(d, kappa_s, zeros=1)))
         assert_matches_reference(rho, sigma, max(kappa, kappa_s), two_point=False)
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    def test_wide_tau_spread(self, d):
+        """Full-rank pairs with kappa_rho * kappa_sigma beyond 1 / RANK_TOL: every eigenvalue of
+        rho^(1/2) sigma^(-1) rho^(1/2) enters the log, however small against the largest."""
+        rng = np.random.default_rng([d, 99])
+        for kappa_r, kappa_s in ((1e6, 1e7), (1e7, 1e7), (1e8, 1e8)):
+            rho = DensityMatrix(state(haar(d, rng), geometric(d, kappa_r)))
+            sigma = DensityMatrix(state(haar(d, rng), geometric(d, kappa_s)))
+            ref = rld_divergence_ref(rho.mat, sigma.mat)
+            for value in (rld_divergence(rho, sigma), two_point_reverse_estimate(rho, sigma).input_kl()):
+                assert abs(value - ref) <= 1e-9 * abs(ref), (kappa_r, kappa_s)
 
     @pytest.mark.parametrize("d", [2, 3, 16])
     def test_off_support_is_inf(self, d):
@@ -201,6 +221,15 @@ class TestStacks:
             one = two_point_reverse_estimate(r, s)
             assert np.allclose(tp.p_rho[k], one.p_rho, rtol=1e-12, atol=1e-16)
             assert np.allclose(tp.p_sigma[k], one.p_sigma, rtol=1e-12, atol=1e-16)
+
+    def test_rld_divergence_mixed_supports(self):
+        """Members of rank 2 and 3 in one stack: each member is padded off its own supp rho."""
+        rng = np.random.default_rng(9)
+        rhos = np.stack([state(haar(3, rng), geometric(3, 1e3, zeros=k % 2)) for k in range(4)])
+        sigmas = np.stack([state(haar(3, rng), geometric(3, 1e3)) for _ in range(4)])
+        dr = rld_divergence(DensityMatrix(rhos), DensityMatrix(sigmas))
+        for k in range(4):
+            assert dr[k] == pytest.approx(rld_divergence(DensityMatrix(rhos[k]), DensityMatrix(sigmas[k])), rel=1e-13)
 
     def test_fisher_and_lre(self):
         points = [random_family_point(3, 1, seed) for seed in range(6)]

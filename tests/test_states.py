@@ -8,12 +8,17 @@ through the library's DensityMatrix, sld, rld and rld_fisher.
 import numpy as np
 import pytest
 
-from qig.channels import random_density, random_hermitian_traceless, random_unitary
+from qig.channels import as_rng, ginibre, random_density, random_unitary, traceless_from
 from qig.errors import DimensionMismatchError, RldExistenceError
 from qig.families import PAULI_X, PAULI_Z
 from qig.fisher import rld, rld_fisher, sld
 from qig.linalg import frob, herm
 from qig.states import TANGENT_TRACE_TOL, DensityMatrix, FamilyPoint
+
+
+def random_hermitian_traceless(dim, seed):
+    """A traceless Hermitian direction: one Ginibre draw of the seed, made traceless."""
+    return traceless_from(ginibre(as_rng(seed), 1, dim)[0])
 
 
 def random_coisometry(rows, cols, rng):
