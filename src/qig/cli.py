@@ -9,13 +9,13 @@ gaussian (truncated Gaussian example).
 
 Each subcommand returns (primary input, parsed input, results) and prints
 nothing.  ``main`` encodes the results once and prints them: each name with
-its value at 6 significant digits, nested blocks indented, a list of
-records (checks, grid points) one line per entry, and a list of more than
-LIST_CUT entries as its shape.  It then writes the full-precision report to
---out, to a sidecar ``*.report.json`` next to the primary input file, or to
-``qig_<cmd>.report.json``.  The exit code is 2 when some ``passed`` anywhere
-in the results is false (a skipped check, passed null, does not fail), 1 on
-an input error, and 0 otherwise.
+its value at 6 significant digits, nested blocks indented, a list of records
+(checks, grid points, violations) one line per entry up to LIST_CUT, and a
+numeric list of more than LIST_CUT entries as its shape.  It then writes the
+full-precision report to --out, to a sidecar ``*.report.json`` next to the
+primary input file, or to ``qig_<cmd>.report.json``.  The exit code is 2 when
+some ``passed`` anywhere in the results is false (a skipped check, passed
+null, does not fail), 1 on an input or usage error, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ from .states import DensityMatrix
 from . import divergence, fisher, harness, reverse  # last: loading harness before divergence slows a cold import by ~50 ms
 
 
-# A list holding more entries than this, counted along its first elements, prints as its shape: lists grow
-# with d (a d = 256 `qig reverse` has 256 weights), and each number printed costs about 0.5 us.
+# A numeric list of more entries than this (its shape's product) prints as its shape: a d = 256 `qig reverse` has
+# 256 weights, each printed number costs ~0.5 us.  A list of records or mixed rows prints at most this many lines.
 LIST_CUT = 10
 
 
@@ -71,21 +71,21 @@ def _inline(v) -> str:
 
 def _render(results: dict, lines: list, indent="") -> list:
     """Append to lines the stdout lines of encoded results, and return them: name: value, a nested block
-    indented, a list of records one line per entry."""
+    indented, a list of records or mixed rows one line per entry."""
     for name, v in results.items():
         if isinstance(v, dict):
             lines.append(f"{indent}{name}:")
             _render(v, lines, indent + "  ")
             continue
-        shape, first = [], v
-        while isinstance(first, list) and first:
-            shape.append(len(first))
-            first = first[0]
-        if math.prod(shape) > LIST_CUT:
+        shape, row = [], [v]
+        while isinstance(row[0], list) and row[0]:
+            shape.append(len(row[0]))
+            row = row[0]
+        if shape and (isinstance(row[0], dict) or str in map(type, row)):  # records, or rows naming a check
+            more = [f"{indent}  ... {len(v) - LIST_CUT} more"] if len(v) > LIST_CUT else []
+            lines += [f"{indent}{name}:", *(f"{indent}  - {_inline(x)}" for x in v[:LIST_CUT]), *more]
+        elif math.prod(shape) > LIST_CUT:
             lines.append(f"{indent}{name}: list of shape {shape}")
-        elif shape and isinstance(first, dict):
-            lines.append(f"{indent}{name}:")
-            lines.extend(f"{indent}  - {_inline(x)}" for x in v)
         else:
             lines.append(f"{indent}{name}: {_inline(v)}")
     return lines
@@ -291,13 +291,15 @@ _PARSER = build_parser()  # built once; parse_args keeps no state between calls
 
 def main(argv=None) -> int:
     command = sys.argv[1:] if argv is None else list(argv)
-    args = _PARSER.parse_args(command)
     try:
+        args = _PARSER.parse_args(command)
         primary, spec, results = args.run(args)
         results = io._jsonable(results)
         print("\n".join(_render(results, [])))
         default = Path(primary).with_suffix(".report.json") if primary else f"qig_{args.cmd}.report.json"
         _write_report(Path(args.out or default), command, args.seed, spec, results)
+    except SystemExit as exc:  # argparse has printed a usage error (its code 2: an input error here) or --help
+        return 1 if exc.code else 0
     except (QigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -58,19 +58,15 @@ def rld_divergence(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """Tr rho log(rho^(1/2) sigma^(-1) rho^(1/2)) with the log on supp rho, in the eigenbasis of rho.
 
     B = Lam^(1/2) (U_rho^dag U_sigma) diag(mu^+)^(1/2) on supp rho x supp sigma, B B^dag = W diag(tau) W^dag:
-    D^R = sum_a lam_a sum_k |W_ak|^2 log tau_k.  Only rho's and sigma's own spectra are cut: every tau of the
-    block enters the log, however small against the largest.
+    D^R = sum_a lam_a sum_k |W_ak|^2 log tau_k.  Only rho's and sigma's own spectra are cut: every positive tau
+    enters the log, however small against the largest.  A tau <= 0 adds nothing: it comes from a zero row of B
+    (off supp rho, or a direction of supp rho in ker sigma whose leak is below SUPPORT_TOL) or from rounding.
     """
     (lam, u_r), (mu, u_s) = rho.eig, sigma.eig
     b = linalg.on_support(np.sqrt, lam)[..., :, None] * (u_r.conj().swapaxes(-1, -2) @ u_s)
     b = b * np.sqrt(linalg.on_support(np.reciprocal, mu))[..., None, :]
-    bb = b @ b.conj().swapaxes(-1, -2)
-    off = ~linalg.support_mask(lam)
-    if off.any():  # the identity off supp rho: tau = 1 there, whose log is 0
-        bb = bb + off[..., None, :] * np.eye(lam.shape[-1])
-    tau, wv = linalg.eig_hermitian(bb)
-    with np.errstate(divide="ignore", invalid="ignore"):  # tau <= 0 only where rho leaves supp sigma: D^R = inf
-        value = np.einsum("...a,...ak,...k->...", lam, np.abs(wv) ** 2, np.log(tau))
+    tau, wv = linalg.eig_hermitian(b @ b.conj().swapaxes(-1, -2))
+    value = np.einsum("...a,...ak,...k->...", lam, np.abs(wv) ** 2, np.log(np.where(tau > 0, tau, 1.0)))
     return _inf_where(_support_violation(rho, sigma), value)
 
 

@@ -284,7 +284,8 @@ class TestDivergenceCommand:
         ([[1, 0], [0, 0]], [[1, 0], [0, 0]], 0.0),
         (np.diag([0.5, 0.5, 0.0]).tolist(), np.diag([0.3, 0.7, 0.0]).tolist(), "finite"),
         ([[0.7, 0.1], [0.1, 0.3]], [[1, 0], [0, 0]], math.inf),
-    ], ids=["equal_pure", "common_support", "off_support"])
+        (np.diag([0.5, 0.5 - 1e-11, 1e-11]).tolist(), np.diag([0.5, 0.5, 0.0]).tolist(), "finite"),
+    ], ids=["equal_pure", "common_support", "off_support", "leak_below_support_tol"])
     def test_rank_deficient_sigma_skips_two_point(self, rho, sigma, expect, tmp_path):
         out = tmp_path / "d.json"
         argv = ["divergence", "--rho", write_json(tmp_path / "r.json", rho),
@@ -479,7 +480,27 @@ class TestExitCodesAndSeeds:
         assert cli.main(["monotone", "--trials", "1"]) == 2
         lines = block(capsys.readouterr().out, "complementarity_suite")
         assert {"  suite: complementarity", "  trials: 1", "  passed: false"} <= set(lines)
-        assert "  violations: [[0, rld_equals_ancilla_sld, -1]]" in lines
+        assert lines[lines.index("  violations:") + 1] == "    - [0, rld_equals_ancilla_sld, -1]"
+
+    def test_violations_print_one_line_each(self, tmp_path, monkeypatch, capsys):
+        """Four [trial, check, slack] rows print as four lines, not as a shape; past LIST_CUT rows a count."""
+        for n in (4, cli.LIST_CUT + 3):
+            rows = [(t, "rld_equals_ancilla_sld", -1.0 - t) for t in range(n)]
+            failing = SuiteReport("complementarity", 0, n, {}, rows, False)
+            monkeypatch.setattr(cli, "complementarity_suite", lambda *a, **k: failing)
+            monkeypatch.chdir(tmp_path)
+            assert cli.main(["monotone", "--trials", "1"]) == 2
+            lines = block(capsys.readouterr().out, "complementarity_suite")
+            rows = lines[lines.index("  violations:") + 1:]
+            rows = rows[:next((i for i, line in enumerate(rows) if not line.startswith("    ")), len(rows))]
+            shown = [f"    - [{t}, rld_equals_ancilla_sld, {-1 - t}]" for t in range(min(n, cli.LIST_CUT))]
+            assert rows == shown + (["    ... 3 more"] if n > cli.LIST_CUT else [])
+
+    def test_usage_error_is_input_error(self, capsys):
+        assert cli.main(["fisher"]) == 1
+        assert "--family" in capsys.readouterr().err
+        assert cli.main(["fisher", "--family", "x.json", "--bogus"]) == 1
+        assert cli.main(["--version"]) == 0
 
     def test_monotone_reports_complementarity_suite(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -642,6 +663,19 @@ class TestStdout:
         assert f"weights: list of shape [{len(res['weights'])}]" in lines
         assert max(map(len, lines)) < 200
 
+    def test_grid_points_print_one_line_each(self, tmp_path, capsys):
+        """An 11-point grid prints its first LIST_CUT points one line each, then the count of the rest."""
+        grid = np.linspace(0.2, 0.8, cli.LIST_CUT + 1)
+        spec = write_json(tmp_path / "grid11.json", {
+            "kind": "fixed_basis", "prob_table": np.stack([grid, 1 - grid], axis=1).tolist(),
+            "theta_grid": grid.tolist()})
+        assert cli.main(["global", "--family", spec, "--out", str(tmp_path / "r.json")]) == 0
+        lines = block(capsys.readouterr().out, "per_point")
+        rows = json.loads((tmp_path / "r.json").read_text())["results"]["per_point"]
+        assert lines[0] == "per_point:" and lines[-1] == "  ... 1 more"
+        assert lines[1:-1] == [f"  - theta: {r['theta']:.6g}  input_fisher: {r['input_fisher']:.6g}  "
+                               f"rld_fisher: {r['rld_fisher']:.6g}" for r in rows[:cli.LIST_CUT]]
+
 
 class TestEntryPoint:
     """`python -m qig.cli` as its own process: the sys.argv path and the __main__ guard."""
@@ -664,6 +698,8 @@ class TestEntryPoint:
         run = self._run("fisher", "--family", missing)
         assert run.returncode == 1 and run.stdout == ""
         assert run.stderr.startswith("error: ") and missing in run.stderr
+        run = self._run("fisher")
+        assert run.returncode == 1 and run.stdout == "" and "--family" in run.stderr
 
 
 class TestSpecErrors:

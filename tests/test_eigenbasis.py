@@ -54,8 +54,9 @@ def _mp_func(m, fn):
 def rld_divergence_ref(rho, sigma):
     """Tr rho log(rho^(1/2) sigma^+ rho^(1/2)) at 50 digits, from the same float64 matrices.
 
-    Only rho's and sigma's own spectra are cut: the log takes every eigenvalue of the middle
-    matrix restricted to supp rho, however widely they spread.
+    Only rho's and sigma's own spectra are cut: the log takes every positive eigenvalue of the
+    middle matrix restricted to supp rho, however widely they spread; a zero one (a direction of
+    supp rho in ker sigma) adds nothing.
     """
     with mpmath.workdps(50):
         r, s = _mp(rho), _mp(sigma)
@@ -65,7 +66,7 @@ def rld_divergence_ref(rho, sigma):
         qs = mpmath.matrix([[q[i, j] * mpmath.sqrt(e[j]) for j in sup] for i in range(r.rows)])
         t = qs.transpose_conj() * _mp_func(s, lambda v: 1 / v) * qs
         f, w = mpmath.eighe((t + t.transpose_conj()) / 2)
-        lt = w * mpmath.diag([mpmath.log(v) for v in f]) * w.transpose_conj()
+        lt = w * mpmath.diag([mpmath.log(v) if v > 0 else 0 for v in f]) * w.transpose_conj()
         return float(mpmath.re(sum(e[j] * lt[a, a] for a, j in enumerate(sup))))
 
 
@@ -122,6 +123,28 @@ class TestRldDivergenceReference:
             ref = rld_divergence_ref(rho.mat, sigma.mat)
             for value in (rld_divergence(rho, sigma), two_point_reverse_estimate(rho, sigma).input_kl()):
                 assert abs(value - ref) <= 1e-9 * abs(ref), (kappa_r, kappa_s)
+
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_tau_rounded_to_zero_stays_finite(self, d):
+        """kappa_rho * kappa_sigma = 1e18 rounds some tau to <= 0: that term drops rather than giving nan, and the rest
+        stays within 2e-8 relative of the reference (worst 9.5e-9)."""
+        rng = np.random.default_rng([d, 98])
+        for _ in range(4):
+            rho = DensityMatrix(state(haar(d, rng), geometric(d, 1e9)))
+            sigma = DensityMatrix(state(haar(d, rng), geometric(d, 1e9)))
+            ref = rld_divergence_ref(rho.mat, sigma.mat)
+            assert abs(rld_divergence(rho, sigma) - ref) <= 2e-8 * abs(ref)
+
+    def test_leak_below_support_tol_stays_finite(self):
+        """rho keeps an eigenvalue 1e-11 in ker sigma: in supp rho (relative RANK_TOL), yet a leak below
+        SUPPORT_TOL, so no violation.  Its row of B is zero, tau = 0, and the term drops: D^R is
+        (1/2 - 1e-11) log(1 - 2e-11), as the reference gives, within the rounding of that tau (3.3e-16)."""
+        rho = DensityMatrix(np.diag([0.5, 0.5 - 1e-11, 1e-11]))
+        sigma = DensityMatrix(np.diag([0.5, 0.5, 0.0]))
+        assert support_leak(rho.mat, *sigma.eig)[0] <= linalg.SUPPORT_TOL
+        ref = rld_divergence_ref(rho.mat, sigma.mat)
+        assert ref == pytest.approx((0.5 - 1e-11) * math.log1p(-2e-11), rel=1e-9)
+        assert abs(rld_divergence(rho, sigma) - ref) <= 1e-15
 
     @pytest.mark.parametrize("d", [2, 3, 16])
     def test_off_support_is_inf(self, d):
